@@ -27,7 +27,8 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs a short smoke of every fuzz target (wire-protocol decoders:
-# arbitrary bytes may error but must never panic or over-allocate). Go
+# arbitrary bytes may error but must never panic or over-allocate; the fp16
+# encoder: bitwise equal to its scalar reference on any input). Go
 # accepts one -fuzz target per invocation, so each runs separately for
 # $(FUZZTIME). The committed corpora under testdata/fuzz are replayed by
 # plain `go test` regardless; this target searches for new inputs.
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/netps -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netps -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netar -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/compress -run '^$$' -fuzz '^FuzzFP16Encode$$' -fuzztime $(FUZZTIME)
 
 # docs validates the documentation set: vet keeps the package docs
 # compiling with the code they describe, checklinks fails on any relative

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -186,10 +187,7 @@ func (c Codec) EncodedLen(n int) int {
 func (c Codec) AppendEncode(dst []byte, v []float32) []byte {
 	switch c.id {
 	case CodecFP16:
-		for _, x := range v {
-			dst = binary.BigEndian.AppendUint16(dst, f32bitsToF16(math.Float32bits(x)))
-		}
-		return dst
+		return appendFP16(dst, v)
 	case CodecInt8:
 		return appendInt8(dst, v)
 	case CodecTopK:
@@ -214,11 +212,7 @@ func (c Codec) AppendDecode(dst []float32, payload []byte, n int) ([]float32, er
 		if len(payload) != 2*n {
 			return dst, fmt.Errorf("compress: fp16 payload %dB for %d elements", len(payload), n)
 		}
-		for i := 0; i < n; i++ {
-			bits := f16ToF32bits(binary.BigEndian.Uint16(payload[2*i:]))
-			dst = append(dst, math.Float32frombits(bits))
-		}
-		return dst, nil
+		return decodeFP16(dst, payload, n), nil
 	case CodecInt8:
 		return decodeInt8(dst, payload, n)
 	case CodecTopK:
@@ -227,15 +221,97 @@ func (c Codec) AppendDecode(dst []float32, payload []byte, n int) ([]float32, er
 		if len(payload) != 4*n {
 			return dst, fmt.Errorf("compress: fp32 payload %dB for %d elements", len(payload), n)
 		}
-		for i := 0; i < n; i++ {
-			dst = append(dst, math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:])))
+		base := len(dst)
+		dst = slices.Grow(dst, n)[:base+n]
+		out := dst[base:]
+		for i := range out {
+			out[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:]))
 		}
 		return dst, nil
 	}
 }
 
+// appendFP16 encodes v as big-endian halves, four at a time. A block whose
+// four values all land on a normal half (or round up to Inf) takes the
+// branch-free fast path; any other block, and the tail, goes through the
+// scalar f32bitsToF16. Both paths are bitwise identical on the fast range
+// (TestFP16EncodeMatchesScalar), so the block split never shows on the wire.
+func appendFP16(dst []byte, v []float32) []byte {
+	base := len(dst)
+	dst = slices.Grow(dst, 2*len(v))[:base+2*len(v)]
+	out := dst[base:]
+	for len(v) >= 4 && len(out) >= 8 {
+		b0, b1, b2, b3 := math.Float32bits(v[0]), math.Float32bits(v[1]), math.Float32bits(v[2]), math.Float32bits(v[3])
+		var w uint64
+		if f32HalfNormal(b0) && f32HalfNormal(b1) && f32HalfNormal(b2) && f32HalfNormal(b3) {
+			w = f32ToHalfNormal(b0)<<48 | f32ToHalfNormal(b1)<<32 | f32ToHalfNormal(b2)<<16 | f32ToHalfNormal(b3)
+		} else {
+			w = uint64(f32bitsToF16(b0))<<48 | uint64(f32bitsToF16(b1))<<32 |
+				uint64(f32bitsToF16(b2))<<16 | uint64(f32bitsToF16(b3))
+		}
+		binary.BigEndian.PutUint64(out, w)
+		v, out = v[4:], out[8:]
+	}
+	for i, x := range v {
+		binary.BigEndian.PutUint16(out[2*i:], f32bitsToF16(math.Float32bits(x)))
+	}
+	return dst
+}
+
+// f32HalfNormal reports whether fp32 bits b (biased exponent 113..142)
+// convert to a normal half or round up to Inf.
+func f32HalfNormal(b uint32) bool { return b>>23&0xff-113 < 30 }
+
+// f32ToHalfNormal converts fp32 bits accepted by f32HalfNormal: adding
+// 0xfff plus the kept LSB rounds the 13 dropped mantissa bits to
+// nearest-even in place, a carry moves into the exponent (up to Inf, as it
+// should), and subtracting 112<<10 rebiases the exponent from 127 to 15.
+func f32ToHalfNormal(b uint32) uint64 {
+	r := b & 0x7fffffff
+	r += 0xfff + r>>13&1
+	return uint64(b>>16&0x8000 | (r>>13 - 112<<10))
+}
+
+// decodeFP16 decodes n big-endian halves (len(payload) == 2n, checked by
+// the caller), four at a time: blocks of normal halves widen branch-free,
+// any other block and the tail go through the scalar f16ToF32bits.
+func decodeFP16(dst []float32, payload []byte, n int) []float32 {
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
+	for len(out) >= 4 && len(payload) >= 8 {
+		w := binary.BigEndian.Uint64(payload)
+		h0, h1, h2, h3 := w>>48, w>>32&0xffff, w>>16&0xffff, w&0xffff
+		if halfNormal(h0) && halfNormal(h1) && halfNormal(h2) && halfNormal(h3) {
+			out[0], out[1], out[2], out[3] = halfNormalToF32(h0), halfNormalToF32(h1), halfNormalToF32(h2), halfNormalToF32(h3)
+		} else {
+			out[0] = math.Float32frombits(f16ToF32bits(uint16(h0)))
+			out[1] = math.Float32frombits(f16ToF32bits(uint16(h1)))
+			out[2] = math.Float32frombits(f16ToF32bits(uint16(h2)))
+			out[3] = math.Float32frombits(f16ToF32bits(uint16(h3)))
+		}
+		out, payload = out[4:], payload[8:]
+	}
+	for i := range out {
+		out[i] = math.Float32frombits(f16ToF32bits(binary.BigEndian.Uint16(payload[2*i:])))
+	}
+	return dst
+}
+
+// halfNormal reports whether half bits h are a normal number (exponent
+// 1..30).
+func halfNormal(h uint64) bool { return h>>10&0x1f-1 < 30 }
+
+// halfNormalToF32 widens a normal half: the exponent and mantissa shift up
+// as one field and 112<<23 rebiases the exponent from 15 to 127.
+func halfNormalToF32(h uint64) float32 {
+	return math.Float32frombits(uint32(h&0x8000<<16 | ((h&0x7fff)<<13 + 112<<23)))
+}
+
 // f32bitsToF16 converts fp32 bits to fp16 bits with round-to-nearest-even.
 // Overflow saturates to infinity; NaN payloads are preserved (quietened).
+// appendFP16 falls back to it for blocks outside its fast path, and the
+// tests use it as the reference encoder.
 func f32bitsToF16(b uint32) uint16 {
 	sign := uint16(b>>16) & 0x8000
 	exp := int32(b>>23) & 0xff
@@ -272,7 +348,9 @@ func f32bitsToF16(b uint32) uint16 {
 	return h
 }
 
-// f16ToF32bits converts fp16 bits to fp32 bits (exact).
+// f16ToF32bits converts fp16 bits to fp32 bits (exact). decodeFP16 falls
+// back to it for blocks that are not all normal halves, and the tests use
+// it as the reference decoder.
 func f16ToF32bits(h uint16) uint32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1f

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -312,4 +314,104 @@ func BenchmarkCodecDecodeFP16(b *testing.B) {
 		}
 	}
 	_ = dst
+}
+
+// scalarEncodeFP16 is the reference fp16 encoder: one f32bitsToF16 per
+// element, appended in order. The fast block encoder must match it bit for
+// bit on every input.
+func scalarEncodeFP16(dst []byte, v []float32) []byte {
+	for _, x := range v {
+		dst = binary.BigEndian.AppendUint16(dst, f32bitsToF16(math.Float32bits(x)))
+	}
+	return dst
+}
+
+// TestFP16EncodeMatchesScalar sweeps every sign and exponent, all 8192
+// patterns of the 13 mantissa bits that rounding drops, and the mantissa
+// tops where a carry can ripple (0, 1, 0x1ff, 0x200, 0x3fe, 0x3ff). The
+// sweep runs behind 0-3 leading fillers, so every value is encoded at
+// every offset of the encoder's 4-element blocks, by the block fast path
+// where its block is in range and by the scalar fallback where it is not.
+func TestFP16EncodeMatchesScalar(t *testing.T) {
+	const filler, fillerHalf = float32(1.5), 0x3e00
+	var vec [3 + 8192]float32
+	for i := range vec {
+		vec[i] = filler
+	}
+	vals := vec[3:]
+	want := make([]byte, 0, 2*len(vals))
+	var got []byte
+	for sign := uint32(0); sign < 2; sign++ {
+		for exp := uint32(0); exp < 256; exp++ {
+			for _, hi := range []uint32{0, 1, 0x1ff, 0x200, 0x3fe, 0x3ff} {
+				for lo := range vals {
+					vals[lo] = math.Float32frombits(sign<<31 | exp<<23 | hi<<13 | uint32(lo))
+				}
+				want = scalarEncodeFP16(want[:0], vals)
+				for off := 0; off < 4; off++ {
+					got = FP16Codec().AppendEncode(got[:0], vec[3-off:])
+					for i := 0; i < off; i++ {
+						if h := binary.BigEndian.Uint16(got[2*i:]); h != fillerHalf {
+							t.Fatalf("filler at %d encoded %#04x, want %#04x", i, h, fillerHalf)
+						}
+					}
+					if bytes.Equal(got[2*off:], want) {
+						continue
+					}
+					for lo, x := range vals {
+						if g, w := binary.BigEndian.Uint16(got[2*(off+lo):]), binary.BigEndian.Uint16(want[2*lo:]); g != w {
+							t.Fatalf("fp32 %#08x at block offset %d: encoded %#04x, scalar %#04x",
+								math.Float32bits(x), (off+lo)%4, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzFP16Encode checks the fast encoder against the scalar reference on
+// arbitrary fp32 bit patterns, at every length (so every tail size).
+func FuzzFP16Encode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x3f, 0x80, 0, 0, 0x47, 0x7f, 0xf0, 0, 0x38, 0x80, 0, 0, 0x7f, 0xc0, 0, 1})
+	f.Add([]byte{0x33, 0x00, 0x00, 0x01, 0xc7, 0x7f, 0xef, 0xff, 0x00, 0x00, 0x00, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := make([]float32, len(data)/4)
+		for i := range v {
+			v[i] = math.Float32frombits(binary.BigEndian.Uint32(data[4*i:]))
+		}
+		prefix := []byte{0xaa}
+		got := FP16Codec().AppendEncode(prefix, v)
+		want := scalarEncodeFP16([]byte{0xaa}, v)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("fast encoder diverged from scalar:\n in   %x\n got  %x\n want %x", data, got, want)
+		}
+	})
+}
+
+// TestFP16DecodeExhaustive decodes all 65536 halves, at every offset of a
+// 4-element block, and compares each with the scalar f16ToF32bits bit for
+// bit.
+func TestFP16DecodeExhaustive(t *testing.T) {
+	for off := 0; off < 4; off++ {
+		payload := make([]byte, 2*off, 2*(off+1<<16))
+		for h := 0; h <= 0xffff; h++ {
+			payload = binary.BigEndian.AppendUint16(payload, uint16(h))
+		}
+		n := len(payload) / 2
+		got, err := FP16Codec().AppendDecode([]float32{7}, payload, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1+n || got[0] != 7 {
+			t.Fatalf("offset %d: decode clobbered the prefix or miscounted (%d values)", off, len(got))
+		}
+		for i := 0; i < n; i++ {
+			h := binary.BigEndian.Uint16(payload[2*i:])
+			if g, w := math.Float32bits(got[1+i]), f16ToF32bits(h); g != w {
+				t.Fatalf("half %#04x at block offset %d: decoded %#08x, scalar %#08x", h, i%4, g, w)
+			}
+		}
+	}
 }

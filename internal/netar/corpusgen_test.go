@@ -58,8 +58,8 @@ func TestGenerateCrossIterCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []message{
-		{Op: OpData, Iter: 3, Seq: 11, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: encodeFloats([]float32{1, 2})},
-		{Op: OpData, Iter: 4, Seq: 12, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: encodeFloats([]float32{3, 4})},
+		{Op: OpData, Iter: 3, Seq: 11, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: fp32Payload(1, 2)},
+		{Op: OpData, Iter: 4, Seq: 12, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: fp32Payload(3, 4)},
 	}
 	for i, m := range seeds {
 		var b bytes.Buffer

@@ -16,6 +16,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"bytescheduler/internal/compress"
 )
 
 func FuzzDecodeFrame(f *testing.F) {
@@ -27,7 +29,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		return b.Bytes()
 	}
 	f.Add([]byte{})
-	f.Add(frame(message{Op: OpData, Iter: 2, Seq: 7, Step: 3, Chunk: 1, Key: "L05[1/4]", Payload: encodeFloats([]float32{1, -2, 3.5})}))
+	f.Add(frame(message{Op: OpData, Iter: 2, Seq: 7, Step: 3, Chunk: 1, Key: "L05[1/4]", Payload: fp32Payload(1, -2, 3.5)}))
 	f.Add(frame(message{Op: OpErr, Payload: []byte("pending table full")}))
 	f.Add(frame(message{Op: OpData, Key: ""}))
 	// Codec-bearing segments: fp16, int8, and top-k payloads under their
@@ -41,8 +43,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Cross-iteration segments: with the streaming coordinated release,
 	// iteration i and i+1 segments for the same key are in flight at once;
 	// the iter field is the only discriminator the pending table sees.
-	f.Add(frame(message{Op: OpData, Iter: 3, Seq: 11, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: encodeFloats([]float32{1, 2})}))
-	f.Add(frame(message{Op: OpData, Iter: 4, Seq: 12, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: encodeFloats([]float32{3, 4})}))
+	f.Add(frame(message{Op: OpData, Iter: 3, Seq: 11, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: fp32Payload(1, 2)}))
+	f.Add(frame(message{Op: OpData, Iter: 4, Seq: 12, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: fp32Payload(3, 4)}))
 	// Adversarial length prefix: near-maxMessage advertised, zero carried.
 	huge := frame(message{Op: OpData, Key: "x"})
 	binary.BigEndian.PutUint32(huge[len(huge)-4:], maxMessage-1)
@@ -74,16 +76,21 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("round trip diverged: %+v vs %+v", m, m2)
 		}
 		// The codec-aware segment decoder must reject adversarial codec ids,
-		// original lengths, and payload framing without panicking.
-		_, _ = decodeSegment(m)
+		// original lengths, and payload framing without panicking. A
+		// receiver decodes only after matching the element count to its
+		// schedule, so the count is bounded here by the input size.
+		if cd, n, err := segmentCodec(m); err == nil && n <= len(data) {
+			_, _ = cd.AppendDecode(make([]float32, 0, n), m.Payload, n)
+		}
 		// Float payloads must decode iff their length is a multiple of 4,
 		// and re-encode losslessly (bit patterns, including NaNs).
-		if fs, err := decodeFloats(m.Payload); err == nil {
-			if re := encodeFloats(fs); !bytes.Equal(re, m.Payload) && len(m.Payload) > 0 {
+		id := compress.Identity()
+		if fs, err := id.AppendDecode(nil, m.Payload, len(m.Payload)/4); err == nil {
+			if re := id.AppendEncode(nil, fs); !bytes.Equal(re, m.Payload) && len(m.Payload) > 0 {
 				t.Fatalf("float round trip diverged:\n in  %x\n out %x", m.Payload, re)
 			}
 		} else if len(m.Payload)%4 == 0 {
-			t.Fatalf("aligned payload rejected by decodeFloats: %v", err)
+			t.Fatalf("aligned payload rejected by the identity codec: %v", err)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package netar
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -326,6 +327,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 				// Pending table full: tell the predecessor its segment was
 				// rejected, then drop the connection — its framing is no
 				// longer trusted to stay in sync with our slot state.
+				m.release()
 				p.inst.drops.Inc()
 				p.notifyErr(conn, message{
 					Op:      OpErr,
@@ -338,6 +340,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 		default:
 			// Unknown op: the stream framing may be out of sync; report and
 			// drop the connection rather than misparse everything after it.
+			m.release()
 			p.notifyErr(conn, message{
 				Op:      OpErr,
 				Payload: []byte(fmt.Sprintf("netar: rank %d unknown op %d", p.rank, m.Op)),
@@ -374,19 +377,21 @@ func (p *Peer) monitorLoop(conn net.Conn) {
 			}
 			p.mu.Unlock()
 		}
+		m.release()
 	}
 }
 
 // deliver parks a segment in its slot (creating the slot if the local
 // collective has not reached that step yet). It reports false when the
-// bounded pending table is full; duplicate segments for an already-filled
-// slot are counted and dropped — the Seq-dedup analogue for a
-// persistent-connection transport.
+// bounded pending table is full, leaving the segment to the caller;
+// duplicate segments for an already-filled slot are counted and dropped —
+// the Seq-dedup analogue for a persistent-connection transport.
 func (p *Peer) deliver(m message) bool {
 	k := slotKey{key: m.Key, iter: m.Iter, step: m.Step}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		m.release()
 		return true
 	}
 	s, ok := p.slots[k]
@@ -402,6 +407,7 @@ func (p *Peer) deliver(m message) bool {
 	select {
 	case s.ch <- m:
 	default:
+		m.release()
 		p.inst.dups.Inc()
 	}
 	return true
@@ -465,9 +471,9 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 		m.Codec = uint8(p.codec.ID())
 		m.Orig = uint32(4 * len(seg))
 	}
-	// The identity codec's encoding is exactly encodeFloats, so one append
-	// path serves both; the buffer is safe to reuse because the write
-	// below completes before sendMu is released.
+	// The identity codec's encoding is the raw fp32 frame payload, so one
+	// append path serves both; the buffer is safe to reuse because the
+	// write below completes before sendMu is released.
 	m.Payload = p.codec.AppendEncode(p.encBuf[:0], seg)
 	p.encBuf = m.Payload[:0]
 	if p.timeout > 0 {
@@ -482,47 +488,84 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 }
 
 // recvSegment blocks until the predecessor's segment for (key, iter, step)
-// arrives, the step timeout fires, or the peer closes. It verifies the
-// received chunk index and length against the schedule, catching ring
-// misconfiguration (wrong rank order, mismatched sizes) at the first step
-// instead of as silently wrong sums.
-func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint16, wantLen int) ([]float32, error) {
+// arrives, the step timeout fires, or the peer closes, then decodes it
+// into dst. It verifies the received chunk index and element count
+// against the schedule before decoding, catching ring misconfiguration
+// (wrong rank order, mismatched sizes) at the first step instead of as
+// silently wrong sums — and since the decode appends into dst[:0] in
+// place, a segment of the wrong length writes nothing. st bounds the wait.
+func (p *Peer) recvSegment(st *stepTimer, key string, iter uint32, step uint16, wantChunk uint16, dst []float32) error {
 	k := slotKey{key: key, iter: iter, step: step}
 	s, err := p.waiterSlot(k)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var timeout <-chan time.Time
-	if p.stepTimeout > 0 {
-		t := time.NewTimer(p.stepTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
+	timeout := st.arm()
 	select {
 	case m := <-s.ch:
 		p.dropSlot(k)
+		defer m.release()
 		if m.Chunk != wantChunk {
-			return nil, fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
+			return fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
 				step, key, iter, m.Chunk, wantChunk)
 		}
-		vals, err := decodeSegment(m)
+		cd, n, err := segmentCodec(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(vals) != wantLen {
-			return nil, fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",
-				step, key, iter, m.Chunk, len(vals), wantLen)
+		if n != len(dst) {
+			return fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",
+				step, key, iter, m.Chunk, n, len(dst))
+		}
+		if _, err := cd.AppendDecode(dst[:0], m.Payload, n); err != nil {
+			return err
 		}
 		p.inst.bytesRecv.Add(uint64(len(m.Payload)))
-		return vals, nil
+		return nil
 	case <-p.done:
 		p.dropSlot(k)
-		return nil, fmt.Errorf("netar: peer closed while waiting for step %d of %s#%d", step, key, iter)
+		return fmt.Errorf("netar: peer closed while waiting for step %d of %s#%d", step, key, iter)
 	case <-timeout:
 		p.dropSlot(k)
 		p.inst.stepTimeouts.Inc()
-		return nil, fmt.Errorf("netar: timeout after %v waiting for step %d of %s#%d (dead peer?)",
-			p.stepTimeout, step, key, iter)
+		return fmt.Errorf("netar: timeout after %v waiting for step %d of %s#%d (dead peer?)",
+			st.d, step, key, iter)
+	}
+}
+
+// stepTimer bounds every schedule step of one collective with a single
+// timer, re-armed per step, instead of allocating a timer per step.
+type stepTimer struct {
+	d time.Duration // the per-step bound; <= 0 waits forever
+	t *time.Timer
+}
+
+// arm restarts the bound for the next step and returns the channel that
+// fires when it expires (nil, never firing, when the bound is disabled).
+func (st *stepTimer) arm() <-chan time.Time {
+	if st.d <= 0 {
+		return nil
+	}
+	if st.t == nil {
+		st.t = time.NewTimer(st.d)
+		return st.t.C
+	}
+	if !st.t.Stop() {
+		// Expired between the last step's receive and now: drain the
+		// stale tick so it cannot fail this step early.
+		select {
+		case <-st.t.C:
+		default:
+		}
+	}
+	st.t.Reset(st.d)
+	return st.t.C
+}
+
+// stop releases the timer once the collective is done.
+func (st *stepTimer) stop() {
+	if st.t != nil {
+		st.t.Stop()
 	}
 }
 
@@ -530,24 +573,25 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 func mod(a, m int) int { return ((a % m) + m) % m }
 
 // AllReduce runs one segmented ring collective: the element-wise sum of
-// every peer's data vector, returned to every peer. All peers must call it
-// with the same (key, iter) and the same vector length, exactly once per
-// collective; distinct (key, iter) collectives may run concurrently.
-// Because AllReduce blocks until every peer participates, peers that issue
-// collectives strictly sequentially must agree on the order; issuing them
-// from concurrent goroutines (as the core scheduler does, one per
-// partition) is order-free — the keyed slots pair up segments however they
-// interleave.
+// every peer's in vector, written to out on every peer. out must have the
+// length of in and may be in itself; on error its contents are
+// unspecified. All peers must call it with the same (key, iter) and the
+// same vector length, exactly once per collective; distinct (key, iter)
+// collectives may run concurrently. Because AllReduce blocks until every
+// peer participates, peers that issue collectives strictly sequentially
+// must agree on the order; issuing them from concurrent goroutines (as the
+// core scheduler does, one per partition) is order-free — the keyed slots
+// pair up segments however they interleave.
 //
 // The schedule is the bandwidth-optimal reduce-scatter + all-gather: in
 // reduce-scatter step s, rank r sends chunk (r-s) mod M and accumulates
 // chunk (r-s-1) mod M, so after M-1 steps rank r holds the fully reduced
 // chunk (r+1) mod M; all-gather then circulates the reduced chunks.
-func (p *Peer) AllReduce(key string, iter uint32, data []float32) ([]float32, error) {
+func (p *Peer) AllReduce(key string, iter uint32, in, out []float32) error {
 	start := time.Now()
 	p.inst.ops.Inc()
 	p.inst.inflight.Inc()
-	out, err := p.allReduce(key, iter, data)
+	err := p.allReduce(key, iter, in, out)
 	p.inst.inflight.Dec()
 	p.inst.opSeconds.Observe(time.Since(start).Seconds())
 	if p.tracer != nil {
@@ -555,56 +599,67 @@ func (p *Peer) AllReduce(key string, iter uint32, data []float32) ([]float32, er
 			fmt.Sprintf("allreduce %s#%d", key, iter),
 			start, time.Now())
 	}
-	return out, err
+	return err
 }
 
-func (p *Peer) allReduce(key string, iter uint32, data []float32) ([]float32, error) {
-	acc := make([]float32, len(data))
-	copy(acc, data)
+// scratchPool recycles the reduce-scatter receive buffers: each step
+// decodes the predecessor's partial sum there before adding it into the
+// caller's output.
+var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
+
+func (p *Peer) allReduce(key string, iter uint32, in, out []float32) error {
+	if len(out) != len(in) {
+		return fmt.Errorf("netar: output has %d values for %d inputs", len(out), len(in))
+	}
+	copy(out, in)
 	if p.size == 1 {
-		return acc, nil
+		return nil
 	}
 	if p.isClosed() {
-		return nil, fmt.Errorf("netar: peer closed")
+		return fmt.Errorf("netar: peer closed")
 	}
 	m := p.size
-	bounds := chunkBounds(len(acc), m)
+	bounds := chunkBounds(len(out), m)
+	st := stepTimer{d: p.stepTimeout}
+	defer st.stop()
+	sp := scratchPool.Get().(*[]float32)
+	defer scratchPool.Put(sp)
+	// Chunk 0 is the largest (chunkBounds hands the remainder out first).
+	scratch := slices.Grow((*sp)[:0], bounds[1])
+	*sp = scratch
 	// Reduce-scatter: after step s every rank has accumulated one more
 	// partial sum; after M-1 steps rank r owns the fully reduced chunk
 	// (r+1) mod M.
 	for s := 0; s < m-1; s++ {
 		sendChunk := mod(p.rank-s, m)
 		recvChunk := mod(p.rank-s-1, m)
-		seg := acc[bounds[sendChunk]:bounds[sendChunk+1]]
-		if err := p.sendSegment(key, iter, uint16(s), uint16(sendChunk), seg); err != nil {
-			return nil, err
+		if err := p.sendSegment(key, iter, uint16(s), uint16(sendChunk), out[bounds[sendChunk]:bounds[sendChunk+1]]); err != nil {
+			return err
 		}
-		vals, err := p.recvSegment(key, iter, uint16(s), uint16(recvChunk), bounds[recvChunk+1]-bounds[recvChunk])
-		if err != nil {
-			return nil, err
+		dst := out[bounds[recvChunk]:bounds[recvChunk+1]]
+		vals := scratch[:len(dst)]
+		if err := p.recvSegment(&st, key, iter, uint16(s), uint16(recvChunk), vals); err != nil {
+			return err
 		}
-		dst := acc[bounds[recvChunk]:bounds[recvChunk+1]]
 		for i, v := range vals {
 			dst[i] += v
 		}
 	}
 	// All-gather: circulate the reduced chunks. At gather step s rank r
-	// sends chunk (r+1-s) mod M (reduced) and receives chunk (r-s) mod M.
+	// sends chunk (r+1-s) mod M (reduced) and receives chunk (r-s) mod M
+	// straight into its place in out.
 	for s := 0; s < m-1; s++ {
 		step := uint16(m - 1 + s)
 		sendChunk := mod(p.rank+1-s, m)
 		recvChunk := mod(p.rank-s, m)
-		seg := acc[bounds[sendChunk]:bounds[sendChunk+1]]
-		if err := p.sendSegment(key, iter, step, uint16(sendChunk), seg); err != nil {
-			return nil, err
+		if err := p.sendSegment(key, iter, step, uint16(sendChunk), out[bounds[sendChunk]:bounds[sendChunk+1]]); err != nil {
+			return err
 		}
-		vals, err := p.recvSegment(key, iter, step, uint16(recvChunk), bounds[recvChunk+1]-bounds[recvChunk])
-		if err != nil {
-			return nil, err
+		if err := p.recvSegment(&st, key, iter, step, uint16(recvChunk), out[bounds[recvChunk]:bounds[recvChunk+1]]); err != nil {
+			return err
 		}
-		copy(acc[bounds[recvChunk]:bounds[recvChunk+1]], vals)
 	}
-	return acc, nil
+	return nil
 }
 
 // Close shuts the peer down: the listener stops accepting, all

@@ -8,16 +8,20 @@ import (
 	"testing"
 	"time"
 
+	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/tensor"
 )
 
+// fp32Payload is the raw fp32 (codec 0) segment payload for v.
+func fp32Payload(v ...float32) []byte { return compress.Identity().AppendEncode(nil, v) }
+
 func TestProtocolRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := message{
 		Op: OpData, Iter: 7, Seq: 99, Step: 3, Chunk: 2,
-		Key: "L03[1/4]", Payload: encodeFloats([]float32{1.5, -2}),
+		Key: "L03[1/4]", Payload: fp32Payload(1.5, -2),
 	}
 	if err := writeMessage(&buf, in); err != nil {
 		t.Fatal(err)
@@ -47,9 +51,16 @@ func TestProtocolEmptyPayload(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeFloats: a raw fp32 segment resolves to the identity
+// codec with one element per 4 payload bytes and decodes exactly; a ragged
+// payload is rejected.
 func TestEncodeDecodeFloats(t *testing.T) {
 	v := []float32{1.5, -2.25, 0, 3e7}
-	got, err := decodeFloats(encodeFloats(v))
+	cd, n, err := segmentCodec(message{Payload: fp32Payload(v...)})
+	if err != nil || !cd.IsIdentity() || n != len(v) {
+		t.Fatalf("segmentCodec = %v, %d, %v; want identity, %d", cd.Name(), n, err, len(v))
+	}
+	got, err := cd.AppendDecode(nil, fp32Payload(v...), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +69,7 @@ func TestEncodeDecodeFloats(t *testing.T) {
 			t.Fatalf("decode mismatch at %d: %v vs %v", i, got[i], v[i])
 		}
 	}
-	if _, err := decodeFloats([]byte{1, 2, 3}); err == nil {
+	if _, _, err := segmentCodec(message{Payload: []byte{1, 2, 3}}); err == nil {
 		t.Fatal("ragged payload accepted")
 	}
 }
@@ -88,7 +99,7 @@ func TestChunkBounds(t *testing.T) {
 
 // buildRing creates an M-peer loopback ring with every peer listening and
 // dialed to its successor, torn down on test cleanup.
-func buildRing(t *testing.T, m int, opts ...Option) []*Peer {
+func buildRing(t testing.TB, m int, opts ...Option) []*Peer {
 	t.Helper()
 	peers := make([]*Peer, m)
 	for r := 0; r < m; r++ {
@@ -122,7 +133,8 @@ func runAll(t *testing.T, peers []*Peer, key string, iter uint32, inputs [][]flo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[r], errs[r] = peers[r].AllReduce(key, iter, inputs[r])
+			out[r] = make([]float32, len(inputs[r]))
+			errs[r] = peers[r].AllReduce(key, iter, inputs[r], out[r])
 		}()
 	}
 	wg.Wait()
@@ -173,6 +185,50 @@ func TestAllReduceSums(t *testing.T) {
 	}
 }
 
+// codecGrad is rank r's gradient at element i for TestAllReduceCodecSums:
+// an integer in [-510, 510] that differs between neighbouring elements and
+// between ranks. Every partial sum of up to four ranks stays within ±2048,
+// where fp16 holds integers exactly, so each fp16 hop is lossless and the
+// ring must reproduce the closed-form sum bit for bit.
+func codecGrad(r, i int) float32 { return float32((7*i+13*r)%1021 - 510) }
+
+// TestAllReduceCodecSums checks every element of the ring's sum, not just
+// totals, under the identity and fp16 codecs and uneven chunk sizes. Each
+// element carries its own value, so a segment decoded at the wrong chunk
+// offset (or with elements out of order) shows up as a wrong element.
+func TestAllReduceCodecSums(t *testing.T) {
+	for _, cd := range []compress.Codec{compress.Identity(), compress.FP16Codec()} {
+		for _, m := range []int{2, 3, 4} {
+			for _, n := range []int{1, 3, 17, 1024, 4099} {
+				t.Run(fmt.Sprintf("%s/m=%d,n=%d", cd.Name(), m, n), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.StepTimeout = 5 * time.Second // fail fast if one rank errors out
+					peers := buildRing(t, m, WithCodec(cd), WithConfig(cfg))
+					inputs := make([][]float32, m)
+					for r := range inputs {
+						inputs[r] = make([]float32, n)
+						for i := range inputs[r] {
+							inputs[r][i] = codecGrad(r, i)
+						}
+					}
+					got := runAll(t, peers, "g", 0, inputs)
+					for i := 0; i < n; i++ {
+						var want float32
+						for r := 0; r < m; r++ {
+							want += codecGrad(r, i)
+						}
+						for r := 0; r < m; r++ {
+							if got[r][i] != want {
+								t.Fatalf("rank %d [%d] = %v, want %v", r, i, got[r][i], want)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestConcurrentKeyedOps issues many collectives per peer concurrently and
 // in different per-peer orders — the keyed-slot dispatch must sort the
 // interleaved segments out.
@@ -196,8 +252,8 @@ func TestConcurrentKeyedOps(t *testing.T) {
 				for i := range data {
 					data[i] = float32(op + r)
 				}
-				got, err := peers[r].AllReduce(key, uint32(op), data)
-				if err != nil {
+				got := make([]float32, n)
+				if err := peers[r].AllReduce(key, uint32(op), data, got); err != nil {
 					t.Errorf("rank %d op %d: %v", r, op, err)
 					return
 				}
@@ -256,13 +312,7 @@ func TestLiveSchedulerOverRing(t *testing.T) {
 						key := fmt.Sprintf("L%d[%d/%d]", layer, sub.Index, sub.Count)
 						lo := sub.Offset / 4
 						hi := lo + sub.Bytes/4
-						sum, err := peers[r].AllReduce(key, 0, grad[lo:hi])
-						if err != nil {
-							done(err)
-							return
-						}
-						copy(results[r][layer][lo:hi], sum)
-						done(nil)
+						done(peers[r].AllReduce(key, 0, grad[lo:hi], results[r][layer][lo:hi]))
 					},
 					OnFinished: func() { layerWG.Done() },
 				}
@@ -320,7 +370,8 @@ func TestVectorLengthMismatch(t *testing.T) {
 			if r == 1 {
 				n = 12
 			}
-			_, errs[r] = peers[r].AllReduce("g", 0, make([]float32, n))
+			v := make([]float32, n)
+			errs[r] = peers[r].AllReduce("g", 0, v, v)
 		}()
 	}
 	wg.Wait()
@@ -336,7 +387,7 @@ func TestStepTimeout(t *testing.T) {
 	cfg.StepTimeout = 50 * time.Millisecond
 	peers := buildRing(t, 2, WithConfig(cfg))
 	start := time.Now()
-	_, err := peers[0].AllReduce("g", 0, []float32{1, 2})
+	err := peers[0].AllReduce("g", 0, []float32{1, 2}, make([]float32, 2))
 	if err == nil {
 		t.Fatal("lonely collective did not time out")
 	}
@@ -351,8 +402,7 @@ func TestCloseFailsWaiters(t *testing.T) {
 	peers := buildRing(t, 2)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := peers[0].AllReduce("g", 0, []float32{1})
-		errc <- err
+		errc <- peers[0].AllReduce("g", 0, []float32{1}, make([]float32, 1))
 	}()
 	time.Sleep(20 * time.Millisecond)
 	peers[0].Close()
@@ -366,7 +416,7 @@ func TestCloseFailsWaiters(t *testing.T) {
 	}
 	// Idempotent.
 	peers[0].Close()
-	if _, err := peers[0].AllReduce("g", 1, []float32{1}); err == nil {
+	if err := peers[0].AllReduce("g", 1, []float32{1}, make([]float32, 1)); err == nil {
 		t.Fatal("AllReduce succeeded on closed peer")
 	}
 }
@@ -378,8 +428,8 @@ func TestSizeOneShortCircuit(t *testing.T) {
 	}
 	defer p.Close()
 	in := []float32{1, 2, 3}
-	got, err := p.AllReduce("g", 0, in)
-	if err != nil {
+	got := make([]float32, len(in))
+	if err := p.AllReduce("g", 0, in, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {
@@ -437,7 +487,7 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := injectConn(t, p)
-	frame := message{Op: OpData, Iter: 1, Step: 0, Chunk: 1, Key: "k", Payload: encodeFloats([]float32{2, 3})}
+	frame := message{Op: OpData, Iter: 1, Step: 0, Chunk: 1, Key: "k", Payload: fp32Payload(2, 3)}
 	for i := 0; i < 2; i++ {
 		frame.Seq = uint64(i + 1)
 		if err := writeMessage(conn, frame); err != nil {
@@ -446,8 +496,8 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 	}
 	dups := reg.Counter("netar_dup_segments_total")
 	waitCounter(t, dups, 1)
-	got, err := p.recvSegment("k", 1, 0, 1, 2)
-	if err != nil {
+	got := make([]float32, 2)
+	if err := p.recvSegment(&stepTimer{d: p.stepTimeout}, "k", 1, 0, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 2 || got[1] != 3 {
@@ -455,6 +505,46 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 	}
 	if n := dups.Value(); n != 1 {
 		t.Fatalf("dup counter = %d, want 1", n)
+	}
+}
+
+// TestWrongLengthSegmentWritesNothing: segments decode straight into the
+// caller's output, so the element count must be checked before the
+// decode. A segment one element longer than the schedule expects must
+// fail and leave the output — including the value just past the
+// destination chunk — untouched, for raw fp32 and fp16 frames alike.
+func TestWrongLengthSegmentWritesNothing(t *testing.T) {
+	const sentinel = float32(-7)
+	seg := []float32{1, 2, 3}
+	for _, cd := range []compress.Codec{compress.Identity(), compress.FP16Codec()} {
+		t.Run(cd.Name(), func(t *testing.T) {
+			p, err := NewPeer(0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if err := p.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			frame := message{Op: OpData, Iter: 1, Seq: 1, Chunk: 1, Key: "k",
+				Payload: cd.AppendEncode(nil, seg)}
+			if !cd.IsIdentity() {
+				frame.Codec = uint8(cd.ID())
+				frame.Orig = uint32(4 * len(seg))
+			}
+			if err := writeMessage(injectConn(t, p), frame); err != nil {
+				t.Fatal(err)
+			}
+			out := []float32{sentinel, sentinel, sentinel}
+			if err := p.recvSegment(&stepTimer{d: p.stepTimeout}, "k", 1, 0, 1, out[:2]); err == nil {
+				t.Fatal("segment one element too long was accepted")
+			}
+			for i, v := range out {
+				if v != sentinel {
+					t.Fatalf("rejected segment wrote out[%d] = %v", i, v)
+				}
+			}
+		})
 	}
 }
 
@@ -477,7 +567,7 @@ func TestPendingTableOverflow(t *testing.T) {
 	conn := injectConn(t, p)
 	for step := 0; step < 5; step++ {
 		m := message{Op: OpData, Iter: 1, Step: uint16(step), Chunk: 0, Key: "flood",
-			Seq: uint64(step + 1), Payload: encodeFloats([]float32{1})}
+			Seq: uint64(step + 1), Payload: fp32Payload(1)}
 		if err := writeMessage(conn, m); err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +588,8 @@ func TestPendingTableOverflow(t *testing.T) {
 		t.Fatalf("drop counter = %d, want 1", n)
 	}
 	// The parked segments below the bound are still deliverable.
-	if got, err := p.recvSegment("flood", 1, 0, 0, 1); err != nil || got[0] != 1 {
+	got := make([]float32, 1)
+	if err := p.recvSegment(&stepTimer{d: p.stepTimeout}, "flood", 1, 0, 0, got); err != nil || got[0] != 1 {
 		t.Fatalf("parked segment lost after overflow: %v %v", got, err)
 	}
 }

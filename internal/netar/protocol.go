@@ -43,7 +43,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"math/bits"
 	"sync"
 
 	"bytescheduler/internal/compress"
@@ -69,7 +69,11 @@ const maxMessage = 512 << 20
 // maxPrealloc caps the up-front payload allocation while reading a frame:
 // a malicious length prefix can make the decoder *work* at most this hard
 // before the stream runs dry, never allocate the full advertised size.
-const maxPrealloc = 4 << 20
+// Payloads up to this size read into pooled buffers.
+const maxPrealloc = 1 << maxPreallocShift
+
+// maxPreallocShift is log2(maxPrealloc) (4 MB).
+const maxPreallocShift = 22
 
 // message is one framed ring segment.
 //
@@ -95,7 +99,39 @@ type message struct {
 	Orig    uint32
 	Key     string
 	Payload []byte
+	// pooled is Payload's backing buffer when it came from the payload
+	// pool; release hands it back.
+	pooled *[]byte
 }
+
+// release returns the payload buffer to its pool. The message must not be
+// used afterwards; messages that were not read from the wire are a no-op.
+func (m *message) release() {
+	if m.pooled != nil {
+		putPayload(m.pooled)
+		m.pooled, m.Payload = nil, nil
+	}
+}
+
+// payloadPools recycle frame payload buffers by power-of-two capacity, 1 B
+// up to maxPrealloc: the ring reads every segment into one, and the
+// receiver releases it once the segment is decoded, so steady-state frames
+// do not allocate.
+var payloadPools [maxPreallocShift + 1]sync.Pool
+
+// getPayload returns a pooled buffer of length n (1 <= n <= maxPrealloc).
+func getPayload(n int) *[]byte {
+	class := bits.Len(uint(n - 1))
+	if bp, ok := payloadPools[class].Get().(*[]byte); ok {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n, 1<<class)
+	return &b
+}
+
+// putPayload returns a buffer from getPayload to its pool.
+func putPayload(bp *[]byte) { payloadPools[bits.Len(uint(cap(*bp)-1))].Put(bp) }
 
 // fixedHeader is the length of the constant-size header prefix.
 const fixedHeader = 1 + 1 + 4 + 8 + 2 + 2 + 4 + 2
@@ -147,19 +183,21 @@ func writeMessage(w io.Writer, m message) error {
 }
 
 // readPayload reads exactly n payload bytes with the up-front allocation
-// capped at maxPrealloc: small payloads get one exact allocation, large
-// ones grow with the bytes that actually arrive, so an adversarial length
-// prefix cannot force a giant allocation before the stream runs dry.
-func readPayload(r io.Reader, n int) ([]byte, error) {
+// capped at maxPrealloc: payloads up to the cap read into a pooled buffer
+// (returned as pooled), larger ones grow with the bytes that actually
+// arrive, so an adversarial length prefix cannot force a giant allocation
+// before the stream runs dry.
+func readPayload(r io.Reader, n int) (payload []byte, pooled *[]byte, err error) {
 	if n <= 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if n <= maxPrealloc {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
+		bp := getPayload(n)
+		if _, err := io.ReadFull(r, *bp); err != nil {
+			putPayload(bp)
+			return nil, nil, err
 		}
-		return buf, nil
+		return *bp, bp, nil
 	}
 	var b bytes.Buffer
 	b.Grow(maxPrealloc)
@@ -167,9 +205,9 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return b.Bytes(), nil
+	return b.Bytes(), nil, nil
 }
 
 // readMessage reads one framed message. It returns an error — never
@@ -199,52 +237,33 @@ func readMessage(r io.Reader) (message, error) {
 	if payloadLen > maxMessage {
 		return message{}, fmt.Errorf("netar: payload length %d exceeds limit", payloadLen)
 	}
-	payload, err := readPayload(r, int(payloadLen))
+	var err error
+	m.Payload, m.pooled, err = readPayload(r, int(payloadLen))
 	if err != nil {
 		return message{}, err
 	}
-	m.Payload = payload
 	return m, nil
 }
 
-// encodeFloats serializes a float32 vector big-endian.
-func encodeFloats(v []float32) []byte {
-	out := make([]byte, len(v)*4)
-	for i, f := range v {
-		binary.BigEndian.PutUint32(out[i*4:], math.Float32bits(f))
-	}
-	return out
-}
-
-// decodeFloats parses a big-endian float32 vector payload.
-func decodeFloats(payload []byte) ([]float32, error) {
-	if len(payload)%4 != 0 {
-		return nil, fmt.Errorf("netar: payload not a float32 vector (%d bytes)", len(payload))
-	}
-	out := make([]float32, len(payload)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[i*4:]))
-	}
-	return out, nil
-}
-
-// decodeSegment recovers a segment's float32 values by its codec envelope:
-// codec 0 is the raw fp32 path, anything else decodes Orig/4 elements
-// through the identified codec. The caller verifies the element count
-// against the schedule.
-func decodeSegment(m message) ([]float32, error) {
+// segmentCodec resolves a segment's codec and element count from its
+// envelope: codec 0 is raw fp32 (the payload length fixes the count),
+// anything else decodes Orig/4 elements through the identified codec.
+func segmentCodec(m message) (compress.Codec, int, error) {
 	if m.Codec == 0 {
-		return decodeFloats(m.Payload)
+		if len(m.Payload)%4 != 0 {
+			return compress.Codec{}, 0, fmt.Errorf("netar: payload not a float32 vector (%d bytes)", len(m.Payload))
+		}
+		return compress.Identity(), len(m.Payload) / 4, nil
 	}
 	cd, err := compress.CodecByID(compress.CodecID(m.Codec))
 	if err != nil {
-		return nil, fmt.Errorf("netar: segment: %v", err)
+		return compress.Codec{}, 0, fmt.Errorf("netar: segment: %v", err)
 	}
-	if m.Orig == 0 || m.Orig%4 != 0 {
-		return nil, fmt.Errorf("netar: segment original length %d not a positive multiple of 4", m.Orig)
+	// Orig 0 is an empty chunk: a vector shorter than the ring.
+	if m.Orig%4 != 0 {
+		return compress.Codec{}, 0, fmt.Errorf("netar: segment original length %d not a multiple of 4", m.Orig)
 	}
-	n := int(m.Orig / 4)
-	return cd.AppendDecode(make([]float32, 0, n), m.Payload, n)
+	return cd, int(m.Orig / 4), nil
 }
 
 // chunkBounds cuts a vector of n values into m near-equal chunks and

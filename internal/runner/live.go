@@ -524,12 +524,7 @@ func buildRingTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 			// is held for the whole op (safe: coordinated release admits
 			// in one total order on every peer).
 			comm: func(key string, iter uint32, in, out []float32, _ func()) error {
-				sum, err := peer.AllReduce(key, iter, in)
-				if err != nil {
-					return err
-				}
-				copy(out, sum)
-				return nil
+				return peer.AllReduce(key, iter, in, out)
 			},
 		}
 	}
@@ -1010,6 +1005,10 @@ func MeasureRingCollective(workers, floats, reps int) (float64, error) {
 	for r := range data {
 		data[r] = make([]float32, floats)
 	}
+	sums := make([][]float32, workers)
+	for r := range sums {
+		sums[r] = make([]float32, floats)
+	}
 	var elapsed time.Duration
 	for op := 0; op < warmup+reps; op++ {
 		begin := time.Now()
@@ -1020,7 +1019,7 @@ func MeasureRingCollective(workers, floats, reps int) (float64, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errs[r] = peers[r].AllReduce("bench", uint32(op), data[r])
+				errs[r] = peers[r].AllReduce("bench", uint32(op), data[r], sums[r])
 			}()
 		}
 		wg.Wait()
