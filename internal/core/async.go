@@ -162,13 +162,10 @@ func (a *AsyncScheduler) SetParams(partitionUnit, creditBytes int64) error {
 	return nil
 }
 
-// Stats snapshots the underlying counters. The counters are atomics, so no
-// lock is needed: scrapers can read mid-run without contending with the
-// scheduler.
-func (a *AsyncScheduler) Stats() Stats { return a.s.Snapshot() }
-
-// Snapshot is an alias of Stats, mirroring Scheduler.Snapshot.
-func (a *AsyncScheduler) Snapshot() Stats { return a.s.Snapshot() }
+// Stats snapshots the underlying counters; it is safe to call from any
+// goroutine. The counters are atomics, so no lock is needed: scrapers can
+// read mid-run without contending with the scheduler.
+func (a *AsyncScheduler) Stats() Stats { return a.s.Stats() }
 
 // Drained reports whether nothing is queued or in flight.
 func (a *AsyncScheduler) Drained() bool {

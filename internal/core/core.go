@@ -333,12 +333,9 @@ func New(policy Policy) *Scheduler {
 // Policy returns the scheduler's policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
 
-// Snapshot returns an atomically read copy of the scheduler counters; it
-// is safe to call from any goroutine while the scheduler runs.
-func (s *Scheduler) Snapshot() Stats { return s.stats.Snapshot() }
-
-// Stats returns a snapshot of the scheduler counters (alias of Snapshot).
-func (s *Scheduler) Stats() Stats { return s.Snapshot() }
+// Stats returns an atomically read copy of the scheduler counters; it is
+// safe to call from any goroutine while the scheduler runs.
+func (s *Scheduler) Stats() Stats { return s.stats.Snapshot() }
 
 // Pending returns the number of ready partitions waiting in the queue.
 func (s *Scheduler) Pending() int { return len(s.queue) }

@@ -11,7 +11,8 @@ import (
 // PriorityPolicy selects how per-layer priorities are derived. It is a
 // strategy on top of Policy.Priority: PriorityDefault keeps whatever
 // PriorityFn the Policy carries, while the other values derive a rank table
-// from DAG timings (or a seed) and install RankPriority over it. Runners
+// from DAG timings (or a seed): the simulator installs RankPriority over
+// it, the live worker writes each task's rank into Tensor.Layer. Runners
 // materialize the strategy once per run so the same ranks are used by every
 // worker — a requirement for the coordinated ring release, where all peers
 // must agree on one total admission order.
@@ -222,9 +223,11 @@ func (p PriorityPolicy) Ranks(d DAGTimings, seed int64) ([]int64, error) {
 }
 
 // RankPriority returns a PriorityFn that maps a tensor's layer index
-// through the rank table. Layers outside the table (fused buckets report
-// their min member; synthetic probes may exceed the profile) keep their
-// index so they sort after ranked layers predictably.
+// through the rank table. Layers outside the table (synthetic probes may
+// exceed the profile) keep their index so they sort after ranked layers
+// predictably. A fused bucket's Layer is its lowest member index, whose
+// rank need not be its most urgent member's: fused callers carry the rank
+// in Tensor.Layer and use LayerPriority instead.
 func RankPriority(ranks []int64) PriorityFn {
 	return func(t tensor.Tensor, _ uint64) int64 {
 		if t.Layer >= 0 && t.Layer < len(ranks) {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // StreamReleaser turns a deterministic emission stream of tasks into a
 // deterministic release stream, re-ordered by a priority function inside a
@@ -30,14 +33,16 @@ import "fmt"
 //
 // Window trades overlap against reordering quality: Window >= layers
 // degenerates to the pass-end sort (full reordering, no overlap before
-// Flush), Window = 1 is pure FIFO streaming (full overlap, emission order).
+// Flush), Window = 1 is FIFO streaming one emission behind, and Window = 0
+// releases every task at its Emit with no buffering at all — the plain
+// streaming path, where the releaser only numbers the stream.
 // The releaser is not goroutine-safe; each worker owns one and calls it
 // from its compute loop, like the scheduler it feeds.
 type StreamReleaser struct {
 	window  int
 	prio    func(t *Task) int64
 	release func(t *Task, rank int64) error
-	buf     []*streamEntry
+	buf     []streamEntry
 	next    int64
 	emitted int64
 }
@@ -52,8 +57,8 @@ type streamEntry struct {
 // prio orders buffered tasks (lower first, ties broken by emission order);
 // release receives each task with its agreed rank, in rank order.
 func NewStreamReleaser(window int, prio func(t *Task) int64, release func(t *Task, rank int64) error) (*StreamReleaser, error) {
-	if window < 1 {
-		return nil, fmt.Errorf("core: stream window %d, want >= 1", window)
+	if window < 0 {
+		return nil, fmt.Errorf("core: stream window %d, want >= 0", window)
 	}
 	if prio == nil || release == nil {
 		return nil, fmt.Errorf("core: stream releaser needs prio and release functions")
@@ -62,7 +67,7 @@ func NewStreamReleaser(window int, prio func(t *Task) int64, release func(t *Tas
 		window:  window,
 		prio:    prio,
 		release: release,
-		buf:     make([]*streamEntry, 0, window+1),
+		buf:     make([]streamEntry, 0, window),
 	}, nil
 }
 
@@ -72,11 +77,14 @@ func NewStreamReleaser(window int, prio func(t *Task) int64, release func(t *Tas
 // error is returned; the task that failed to release is dropped from the
 // buffer either way so a failed transport cannot wedge the window.
 func (r *StreamReleaser) Emit(t *Task) error {
+	if r.window == 0 {
+		return r.releaseNext(t)
+	}
 	var err error
 	if len(r.buf) >= r.window {
 		err = r.releaseBest()
 	}
-	r.buf = append(r.buf, &streamEntry{task: t, prio: r.prio(t), seq: r.emitted})
+	r.buf = append(r.buf, streamEntry{task: t, prio: r.prio(t), seq: r.emitted})
 	r.emitted++
 	return err
 }
@@ -111,9 +119,14 @@ func (r *StreamReleaser) releaseBest() error {
 			best = i
 		}
 	}
-	e := r.buf[best]
-	r.buf = append(r.buf[:best], r.buf[best+1:]...)
+	t := r.buf[best].task
+	r.buf = slices.Delete(r.buf, best, best+1)
+	return r.releaseNext(t)
+}
+
+// releaseNext releases t with the next agreed rank.
+func (r *StreamReleaser) releaseNext(t *Task) error {
 	rank := r.next
 	r.next++
-	return r.release(e.task, rank)
+	return r.release(t, rank)
 }

@@ -46,14 +46,38 @@ func recordingReleaser(t *testing.T, window int, ranks []int64) (*StreamReleaser
 }
 
 func TestStreamReleaserValidation(t *testing.T) {
-	if _, err := NewStreamReleaser(0, func(*Task) int64 { return 0 }, func(*Task, int64) error { return nil }); err == nil {
-		t.Fatal("window 0 accepted")
+	if _, err := NewStreamReleaser(-1, func(*Task) int64 { return 0 }, func(*Task, int64) error { return nil }); err == nil {
+		t.Fatal("negative window accepted")
 	}
 	if _, err := NewStreamReleaser(1, nil, func(*Task, int64) error { return nil }); err == nil {
 		t.Fatal("nil prio accepted")
 	}
 	if _, err := NewStreamReleaser(1, func(*Task) int64 { return 0 }, nil); err == nil {
 		t.Fatal("nil release accepted")
+	}
+}
+
+// TestStreamReleaserWindowZero pins the unbuffered case the uncoordinated
+// live path uses: every Emit releases its own task at once, in emission
+// order, whatever the priorities, and Flush has nothing left to drain.
+func TestStreamReleaserWindowZero(t *testing.T) {
+	r, order := recordingReleaser(t, 0, []int64{4, 3, 2, 1, 0})
+	for l := 0; l < 5; l++ {
+		if err := r.Emit(layerTask(l)); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Released(); got != int64(l+1) {
+			t.Fatalf("after emit %d: released %d, want %d", l, got, l+1)
+		}
+		if r.Buffered() != 0 {
+			t.Fatalf("window 0 buffered %d tasks", r.Buffered())
+		}
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(*order, want) {
+		t.Fatalf("window-0 release order = %v, want emission order %v", *order, want)
 	}
 }
 

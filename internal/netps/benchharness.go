@@ -21,10 +21,9 @@ type LoadOptions struct {
 	PayloadFloats int
 	// Shards / Pool configure the server under test (0 = defaults).
 	Shards, Pool int
-	// SingleLockBaseline reproduces the pre-shard server's shape: one
-	// lock domain plus the per-push full dedup-table rescan that used to
-	// feed the dedup-size gauge. The sharded-vs-baseline ratio is the
-	// committed evidence the refactor pays off.
+	// SingleLockBaseline runs the server with one lock domain, the
+	// pre-shard server's shape. The sharded-vs-baseline ratio measures
+	// what lock-domain parallelism buys.
 	SingleLockBaseline bool
 	// TCP runs real clients over loopback sockets through the
 	// multiplexer + handler pool instead of driving the aggregation core
@@ -83,7 +82,6 @@ func RunLoad(opts LoadOptions) (LoadResult, error) {
 	if err != nil {
 		return LoadResult{}, err
 	}
-	srv.legacyDedupScan = opts.SingleLockBaseline
 	defer srv.Close()
 
 	mode := "sharded"

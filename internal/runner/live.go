@@ -10,7 +10,6 @@ package runner
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -109,16 +108,12 @@ type LiveConfig struct {
 	// FuseTheta, when > 0, buckets gradients smaller than this many bytes
 	// into fused CommTasks (core.Fuser): the small-tensor long tail then
 	// pays one per-message overhead per bucket instead of one each. Must
-	// be a multiple of 4. Incompatible with coordinated ring runs (ring +
-	// priority + credit), whose atomic-release protocol presumes one task
-	// per layer.
+	// be a multiple of 4. Buckets flush on size and at the end of each
+	// backward pass — deterministic points, so every worker fuses the
+	// same members — and enter the same release path as unfused tasks, so
+	// fusion composes with every pipeline mode and with coordinated ring
+	// release.
 	FuseTheta int64
-	// FuseDelay is the fusion bucket's flush deadline. Leave 0 (the
-	// default) in multi-worker runs: deadline flushes are wall-clock and
-	// can diverge bucket membership across workers, which deadlocks
-	// keyed transports. Buckets then flush on size and at the end of each
-	// backward pass.
-	FuseDelay time.Duration
 	// Codec compresses gradient payloads on the wire (fp16 / int8 /
 	// top-k); the zero value is the identity (raw fp32) codec. Lossy
 	// codecs relax the runner's aggregation verification accordingly.
@@ -181,13 +176,13 @@ type PipelineMode int
 const (
 	// PipelineAuto keeps each backend's established behavior: PS (and
 	// uncoordinated ring) runs stream tasks as the backward pass emits
-	// them; coordinated ring runs hold the pass and release it atomically.
+	// them; coordinated ring runs hold the pass and release it at the
+	// pass boundary.
 	PipelineAuto PipelineMode = iota
-	// PipelineOn streams everywhere. On coordinated ring runs this swaps
-	// the atomic pass-end release for a core.StreamReleaser: tasks are
-	// released mid-pass through a bounded lookahead window in an agreed
-	// total order, so communication overlaps backward compute without
-	// giving up deadlock-freedom.
+	// PipelineOn streams everywhere. On coordinated ring runs the release
+	// window shrinks from the whole pass to PipelineWindow: tasks are
+	// released mid-pass in an agreed total order, so communication
+	// overlaps backward compute without giving up deadlock-freedom.
 	PipelineOn
 	// PipelineOff holds every pass's tasks until the backward pass ends on
 	// both backends — the non-pipelined scheduled baseline the EXT-PRIORITY
@@ -294,17 +289,11 @@ func (c LiveConfig) Validate() error {
 	if c.FuseTheta < 0 || c.FuseTheta%4 != 0 {
 		return fmt.Errorf("runner: fuse threshold %d is not a non-negative multiple of 4", c.FuseTheta)
 	}
-	if c.FuseDelay < 0 {
-		return fmt.Errorf("runner: negative fuse delay %v", c.FuseDelay)
-	}
-	if c.FuseTheta > 0 && c.coordinated() {
-		return fmt.Errorf("runner: tensor fusion is incompatible with coordinated ring runs (priority + credit): the atomic-release protocol presumes one task per layer")
-	}
 	if c.AutoTune != nil && (c.Policy.PartitionUnit <= 0 || c.Policy.CreditBytes <= 0) {
 		return fmt.Errorf("runner: auto-tuning needs a scheduled starting policy (positive partition unit and credit), got unit %d credit %d", c.Policy.PartitionUnit, c.Policy.CreditBytes)
 	}
 	if c.AutoTune != nil && c.FuseTheta > 0 {
-		return fmt.Errorf("runner: auto-tuning is incompatible with tensor fusion: fused transfers hold credit through the blocking pull, and a probed credit window smaller than two fused buckets can cross-deadlock workers")
+		return fmt.Errorf("runner: auto-tuning is incompatible with tensor fusion: the tuner's probes are not yet validated over fused buckets")
 	}
 	switch c.Priority {
 	case core.PriorityDefault, core.PriorityLayer, core.PriorityCriticalPath, core.PriorityRandom:
@@ -322,17 +311,14 @@ func (c LiveConfig) Validate() error {
 	if c.PipelineWindow < 0 {
 		return fmt.Errorf("runner: negative pipeline window %d", c.PipelineWindow)
 	}
-	if c.Pipeline == PipelineOff && c.FuseTheta > 0 {
-		return fmt.Errorf("runner: pipelining off holds every task to the pass boundary, which defeats the fusion buffer's streaming buckets; drop -fuse-theta or -pipeline off")
-	}
 	if err := validateShape(c.Shape); err != nil {
 		return err
 	}
 	return nil
 }
 
-// coordinated reports whether the run must release each backward pass's
-// task set atomically in priority order (see liveWorker): ring collectives
+// coordinated reports whether peers must admit tasks in one agreed total
+// order (see releaseWindow): ring collectives
 // block until *every* peer issues them, so priority scheduling under a
 // finite credit window is only deadlock-free when all peers admit
 // partitions in the same total order. Streaming per-layer release diverges
@@ -343,12 +329,33 @@ func (c LiveConfig) Validate() error {
 // FIFO-style policies (no Priority) stream safely: arrival order is
 // emission order, identical on every peer.
 //
-// Coordination does not require giving up pipelining: PipelineOn swaps the
-// atomic pass-end release for a core.StreamReleaser, which computes the
-// same kind of agreed total order incrementally (see liveWorker).
+// Coordination does not require giving up pipelining: with PipelineOn the
+// releaser computes the agreed order over a window smaller than the pass,
+// so transfers start mid-pass.
 func (c LiveConfig) coordinated() bool {
 	prioritized := c.Policy.Priority != nil || c.Priority != core.PriorityDefault
 	return c.Backend == LiveBackendRing && prioritized && c.Policy.CreditBytes > 0
+}
+
+// releaseWindow is the lookahead of each worker's core.StreamReleaser, the
+// one knob that tells the release disciplines apart. Uncoordinated
+// streaming releases each task as it is emitted (0); pass-end runs —
+// PipelineOff, or a coordinated ring without PipelineOn — hold the whole
+// pass and release it in priority order at the boundary (layers);
+// coordinated PipelineOn streams through a bounded window (PipelineWindow,
+// default half the pass).
+func (c LiveConfig) releaseWindow() int {
+	layers := len(c.LayerBytes)
+	switch {
+	case c.coordinated() && c.Pipeline == PipelineOn:
+		if c.PipelineWindow > 0 {
+			return c.PipelineWindow
+		}
+		return (layers + 1) / 2
+	case c.coordinated() || c.Pipeline == PipelineOff:
+		return layers
+	}
+	return 0
 }
 
 // LiveResult summarizes a live run.
@@ -612,14 +619,66 @@ func buildPSTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 	return transports, teardown, nil
 }
 
-// liveGrad is the metadata one live gradient task carries through fusion
-// (core.Task.Meta): the buffers a fused transmit gathers from and
-// scatters back into.
+// liveGrad is one live gradient task's state (core.Task.Meta): the
+// buffers a fused transmit gathers from and scatters back into, and the
+// forward gate its synchronization outcome reaches exactly once.
+//
+// Split-phase bookkeeping: when the transport calls sent() (the PS
+// push-ack), the sub's credit is returned at once and the blocking pull
+// proceeds uncredited; the gate then waits on the pulls through a
+// countdown instead of OnFinished. Transports that never call sent (the
+// ring) keep the classic path: outcome via the scheduler, gate via
+// OnFinished. Fused transfers report to every member's gate the same way.
 type liveGrad struct {
-	iter  uint32
-	layer int
-	grad  []float32
-	out   []float32
+	iter uint32
+	grad []float32
+	out  []float32
+	done chan<- error
+
+	mu       sync.Mutex
+	split    bool
+	pullLeft int // pulls outstanding; -1 until the first lands
+	pullErr  error
+}
+
+// sent marks the task split-phase: its outcome now comes from pulls.
+func (g *liveGrad) sent() {
+	g.mu.Lock()
+	g.split = true
+	g.mu.Unlock()
+}
+
+// pulled records one of count pulls; the last to land reports the task's
+// combined outcome. A sub whose push fails permanently never pulls, so
+// the countdown never hits zero and finished (with the error) reports
+// instead.
+func (g *liveGrad) pulled(count int, err error) {
+	g.mu.Lock()
+	if g.pullLeft < 0 {
+		g.pullLeft = count
+	}
+	g.pullLeft--
+	if err != nil && g.pullErr == nil {
+		g.pullErr = err
+	}
+	last, res := g.pullLeft == 0, g.pullErr
+	g.mu.Unlock()
+	if last {
+		g.done <- res
+	}
+}
+
+// finished is the task's OnFinished: it reports failures, and success
+// unless the pull countdown owns the outcome.
+func (g *liveGrad) finished(err error) {
+	g.mu.Lock()
+	split := g.split
+	g.mu.Unlock()
+	if err != nil {
+		g.done <- err
+	} else if !split {
+		g.done <- nil
+	}
 }
 
 // fusedComm builds the core.FuseStartFn for one worker: it gathers the
@@ -653,67 +712,75 @@ func fusedComm(comm liveComm) core.FuseStartFn {
 			copy(in[(s-lo)/4:(e-lo)/4], g.grad[(s-offsets[i])/4:(e-offsets[i])/4])
 		}
 		key := fmt.Sprintf("%s[%d/%d]", fd.Tensor.Name, sub.Index, sub.Count)
-		// Fused transfers keep holding credit through the pull (no-op
-		// sent): the scatter below must finish before members complete,
-		// and Validate rejects the one configuration (auto-tuning) that
-		// could shrink the window enough for held pulls to deadlock.
-		if err := comm(key, iter, in, out, func() {}); err != nil {
+		// Fused transfers follow the same split-phase contract as plain
+		// ones: credit returns at the fused push-ack, and every member's
+		// gate counts this sub's pull, which lands only after the scatter.
+		credited := false
+		err := comm(key, iter, in, out, func() {
+			for _, m := range members {
+				m.Meta.(*liveGrad).sent()
+			}
+			credited = true
+			doneFn(nil)
+		})
+		if err == nil {
+			for i, m := range members {
+				s, e := overlap(i)
+				if s >= e {
+					continue
+				}
+				g := m.Meta.(*liveGrad)
+				copy(g.out[(s-offsets[i])/4:(e-offsets[i])/4], out[(s-lo)/4:(e-lo)/4])
+			}
+		}
+		if !credited {
 			doneFn(err)
 			return
 		}
-		for i, m := range members {
-			s, e := overlap(i)
-			if s >= e {
-				continue
-			}
-			g := m.Meta.(*liveGrad)
-			copy(g.out[(s-offsets[i])/4:(e-offsets[i])/4], out[(s-lo)/4:(e-lo)/4])
+		for _, m := range members {
+			m.Meta.(*liveGrad).pulled(sub.Count, err)
 		}
-		doneFn(nil)
 	}
 }
 
+// releaseSink is the Fuser's downstream: a task (plain or fused) enters
+// the scheduler's queue at once and becomes ready when the releaser lets
+// it go.
+type releaseSink struct {
+	*core.AsyncScheduler
+	rel *core.StreamReleaser
+}
+
+// NotifyReady hands the task to the releaser instead of the scheduler.
+func (s releaseSink) NotifyReady(t *core.Task) error { return s.rel.Emit(t) }
+
 // liveWorker runs one worker's training loop: forward gated on the
 // previous iteration's per-layer synchronization, backward emitting
-// gradient CommTasks back-to-front into the worker's scheduler (through a
-// fusion buffer when FuseTheta is set). With a controller, each backward
-// pass first pins and applies the iteration's (partition, credit): the
-// swap lands at the pass boundary, in-flight tasks from the previous pass
-// finish under the old config, and the controller's per-iteration pinning
-// keeps partition counts — which the transport keys embed — identical
-// across workers.
+// gradient CommTasks back-to-front. Every gradient takes one path — Fuser
+// (buckets the small tail when FuseTheta is set) → StreamReleaser (orders
+// the stream within releaseWindow) → scheduler — and every pass boundary
+// drains both buffers. With a controller, each backward pass first pins
+// and applies the iteration's (partition, credit): the swap lands at the
+// pass boundary, in-flight tasks from the previous pass finish under the
+// old config, and the controller's per-iteration pinning keeps partition
+// counts — which the transport keys embed — identical across workers.
 func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl *autotune.Controller, starts []time.Time) (core.Stats, error) {
 	layers := len(cfg.LayerBytes)
-	// Release discipline (see PipelineMode): coordinated runs either hold
-	// each pass and release it atomically (the pre-existing safe protocol)
-	// or, with PipelineOn, stream through a bounded agreed-order window;
-	// uncoordinated runs stream through the fuser unless PipelineOff holds
-	// them to the pass boundary.
 	coordinated := cfg.coordinated()
-	stream := coordinated && cfg.Pipeline == PipelineOn
-	passEnd := (coordinated && !stream) || cfg.Pipeline == PipelineOff
+	// Tensor.Layer carries each gradient's rank, so a fused bucket — whose
+	// Layer is its members' minimum — inherits its most urgent member's
+	// rank, and the releaser orders plain and fused tasks alike.
 	rankOf := func(l int) int {
 		if ranks == nil {
 			return l
 		}
 		return int(ranks[l])
 	}
-	// releaseOrder is the pass-boundary release sequence, best rank first.
-	// Coordinated peers must issue their NotifyReady calls in the agreed
-	// (stamped) order — admission can start at the first call.
-	releaseOrder := make([]int, layers)
-	for i := range releaseOrder {
-		releaseOrder[i] = i
-	}
-	sort.Slice(releaseOrder, func(a, b int) bool { return rankOf(releaseOrder[a]) < rankOf(releaseOrder[b]) })
-
 	pol := cfg.Policy
-	if coordinated {
-		// The runner stamps the agreed rank into Tensor.Layer; the policy
-		// must read the stamp verbatim, not re-map it through a rank table.
+	if ranks != nil || coordinated {
+		// The policy must read Tensor.Layer verbatim: it holds the rank, or
+		// on coordinated runs the agreed stamp.
 		pol.Priority = core.LayerPriority
-	} else if ranks != nil {
-		pol.Priority = core.RankPriority(ranks)
 	}
 	sched := core.NewAsync(pol)
 	defer sched.Shutdown()
@@ -723,34 +790,30 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 	if tr.attach != nil {
 		tr.attach(sched)
 	}
+	releaser, err := core.NewStreamReleaser(cfg.releaseWindow(),
+		func(t *core.Task) int64 { return int64(t.Tensor.Layer) },
+		func(t *core.Task, agreed int64) error {
+			if coordinated {
+				// Every peer computes the same release sequence, and the
+				// stamp never resets, so peers skewed into different
+				// iterations still admit the in-flight passes' partitions in
+				// one agreed total order — what makes credit-gated priority
+				// scheduling deadlock-free over blocking collectives.
+				t.Tensor.Layer = int(agreed)
+			}
+			return sched.NotifyReady(t)
+		})
+	if err != nil {
+		return core.Stats{}, err
+	}
 	fuser, err := core.NewFuser(core.FuserConfig{
-		Theta:      cfg.FuseTheta,
-		FlushDelay: cfg.FuseDelay,
-		Start:      fusedComm(tr.comm),
-	}, sched)
+		Theta: cfg.FuseTheta,
+		Start: fusedComm(tr.comm),
+	}, releaseSink{sched, releaser})
 	if err != nil {
 		return core.Stats{}, err
 	}
 	defer fuser.Close()
-	var releaser *core.StreamReleaser
-	if stream {
-		window := cfg.PipelineWindow
-		if window == 0 {
-			window = (layers + 1) / 2
-		}
-		releaser, err = core.NewStreamReleaser(window,
-			func(t *core.Task) int64 { return int64(rankOf(t.Meta.(*liveGrad).layer)) },
-			func(t *core.Task, agreed int64) error {
-				// The stamp is strictly increasing across passes, so peers
-				// skewed into different iterations still admit the two
-				// in-flight passes' partitions in one agreed total order.
-				t.Tensor.Layer = int(agreed)
-				return sched.NotifyReady(t)
-			})
-		if err != nil {
-			return core.Stats{}, err
-		}
-	}
 
 	grads := make([][]float32, layers)
 	outs := make([][]float32, layers)
@@ -793,17 +856,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 				return sched.Stats(), err
 			}
 		}
-		// Backward: gradients become ready back-to-front. Coordinated runs
-		// (see LiveConfig.coordinated) either hold the ready notifications
-		// until the pass completes and release the whole set best-rank
-		// first — every peer then admits partitions in the identical total
-		// order, (iteration, rank) lexicographic via the iteration-offset
-		// priority below, which is what makes credit-gated priority
-		// scheduling deadlock-free over blocking collectives — or, with
-		// PipelineOn, feed the releaser, whose bounded window computes the
-		// same kind of agreed order incrementally so transfers start
-		// mid-pass.
-		batch := make([]*core.Task, layers)
+		// Backward: gradients become ready back-to-front.
 		for l := layers - 1; l >= 0; l-- {
 			if bt := cfg.backwardTime(l); bt > 0 {
 				time.Sleep(bt)
@@ -811,29 +864,10 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 			l := l
 			iter := uint32(it)
 			grad, out := grads[l], outs[l]
-			prio := l
-			if coordinated && !stream {
-				// Monotone across iterations so a new pass's front layer
-				// never preempts the previous pass's unfinished tail —
-				// peers must agree on the total order, and the previous
-				// tail is exactly where a lagging peer still is. (In
-				// stream mode the releaser stamps its own monotone rank.)
-				prio = it*layers + rankOf(l)
-			}
-			// Split-phase bookkeeping (PS path): when the transport calls
-			// sent(), the sub's credit is returned immediately (doneFn(nil))
-			// and the blocking pull proceeds uncredited; the forward gate
-			// then waits on the pulls via this per-task countdown instead
-			// of OnFinished. Transports that never call sent (ring, fused)
-			// keep the classic path: outcome via doneFn, gate via
-			// OnFinished.
-			var pullMu sync.Mutex
-			pullLeft := -1
-			var pullErr error
-			split := false
+			g := &liveGrad{iter: iter, grad: grad, out: out, pullLeft: -1, done: done[l]}
 			t := &core.Task{
-				Tensor: tensor.Tensor{Layer: prio, Name: "g", Bytes: cfg.LayerBytes[l]},
-				Meta:   &liveGrad{iter: iter, layer: l, grad: grad, out: out},
+				Tensor: tensor.Tensor{Layer: rankOf(l), Name: "g", Bytes: cfg.LayerBytes[l]},
+				Meta:   g,
 			}
 			t.StartErr = func(sub tensor.Sub, doneFn func(error)) {
 				lo := sub.Offset / 4
@@ -841,9 +875,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 				key := fmt.Sprintf("L%02d[%d/%d]", l, sub.Index, sub.Count)
 				credited := false
 				err := tr.comm(key, iter, grad[lo:hi], out[lo:hi], func() {
-					pullMu.Lock()
-					split = true
-					pullMu.Unlock()
+					g.sent()
 					credited = true
 					doneFn(nil)
 				})
@@ -851,80 +883,21 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 					doneFn(err)
 					return
 				}
-				// Credit already went back at sent(); this sub's outcome is
-				// now a pull result. The last pull to land reports the
-				// task's combined outcome to the forward gate. A sub whose
-				// push fails permanently never reaches here, so the
-				// countdown never hits zero and OnFinished (with Err set)
-				// reports instead.
-				pullMu.Lock()
-				if pullLeft < 0 {
-					pullLeft = sub.Count
-				}
-				pullLeft--
-				if err != nil && pullErr == nil {
-					pullErr = err
-				}
-				last, res := pullLeft == 0, pullErr
-				pullMu.Unlock()
-				if last {
-					done[l] <- res
-				}
+				g.pulled(sub.Count, err)
 			}
-			t.OnFinished = func() {
-				pullMu.Lock()
-				sp := split
-				pullMu.Unlock()
-				if err := t.Err(); err != nil {
-					done[l] <- err
-				} else if !sp {
-					done[l] <- nil
-				}
-			}
-			switch {
-			case stream:
-				// Coordinated streaming: the releaser decides when this
-				// task's NotifyReady fires and what agreed rank it carries.
-				if err := sched.Enqueue(t); err != nil {
-					return sched.Stats(), err
-				}
-				if err := releaser.Emit(t); err != nil {
-					return sched.Stats(), err
-				}
-			case passEnd:
-				if err := sched.Enqueue(t); err != nil {
-					return sched.Stats(), err
-				}
-				batch[l] = t
-			default:
-				// The Fuser is the submission point: it forwards tensors >=
-				// Theta untouched and buckets smaller ones; with fusion
-				// disabled it degenerates to Enqueue+NotifyReady.
-				if err := fuser.Add(t); err != nil {
-					return sched.Stats(), err
-				}
+			t.OnFinished = func() { g.finished(t.Err()) }
+			if err := fuser.Add(t); err != nil {
+				return sched.Stats(), err
 			}
 		}
-		switch {
-		case stream:
-			// Drain the lookahead window at the pass boundary so it never
-			// straddles the forward pass — the flush is part of the
-			// deterministic sequence every peer shares.
-			if err := releaser.Flush(); err != nil {
-				return sched.Stats(), err
-			}
-		case passEnd:
-			for _, l := range releaseOrder {
-				if err := sched.NotifyReady(batch[l]); err != nil {
-					return sched.Stats(), err
-				}
-			}
-		default:
-			if err := fuser.Flush(); err != nil {
-				// Pass-boundary flush: the tail bucket goes out now, at the
-				// same deterministic point on every worker.
-				return sched.Stats(), err
-			}
+		// Pass boundary: the tail bucket and the lookahead window drain at
+		// the same deterministic point in every worker's emission sequence,
+		// so neither straddles the forward pass.
+		if err := fuser.Flush(); err != nil {
+			return sched.Stats(), err
+		}
+		if err := releaser.Flush(); err != nil {
+			return sched.Stats(), err
 		}
 	}
 	// Drain the final iteration's synchronization.

@@ -32,12 +32,6 @@ func TestParsePipelineMode(t *testing.T) {
 
 func TestLivePipelineValidation(t *testing.T) {
 	cfg := liveBase(LiveBackendPS)
-	cfg.Pipeline = PipelineOff
-	cfg.FuseTheta = 16 << 10
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("pipeline off + fusion accepted")
-	}
-	cfg = liveBase(LiveBackendPS)
 	cfg.PipelineWindow = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative pipeline window accepted")

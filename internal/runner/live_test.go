@@ -161,8 +161,8 @@ func TestRunLivePSFused(t *testing.T) {
 }
 
 // TestRunLiveRingFused exercises the same fusion path over the ring
-// all-reduce (uncoordinated FIFO policy: fusion + coordinated release is
-// rejected by Validate).
+// all-reduce with an uncoordinated FIFO policy (TestRunLiveFusionComposes
+// covers coordinated release).
 func TestRunLiveRingFused(t *testing.T) {
 	cfg := liveBase(LiveBackendRing)
 	cfg.Policy = LiveFIFO()
@@ -222,8 +222,6 @@ func TestRunLiveValidation(t *testing.T) {
 		{"too few iterations", func(c *LiveConfig) { c.Iterations = c.Warmup + 1 }},
 		{"bad backend", func(c *LiveConfig) { c.Backend = LiveBackend(99) }},
 		{"ragged fuse theta", func(c *LiveConfig) { c.FuseTheta = 6 }},
-		{"negative fuse delay", func(c *LiveConfig) { c.FuseDelay = -time.Second }},
-		{"fusion on coordinated ring", func(c *LiveConfig) { c.FuseTheta = 4 << 10 }},
 	} {
 		cfg := good
 		tc.mut(&cfg)

@@ -2,28 +2,31 @@ package runner
 
 import (
 	"fmt"
+	"math"
 
-	"bytescheduler/internal/tune"
+	"bytescheduler/internal/autotune"
 )
 
 // OnlineConfig drives runtime auto-tuning: the paper's actual deployment
 // mechanism (§4.3, §5), where worker 0's Core profiles the training speed
-// of candidate (partition, credit) configurations on the live job and
-// Bayesian Optimization proposes the next candidate.
+// of candidate (partition, credit) configurations on the live job. The
+// simulated job is tuned by the same autotune.Controller that tunes live
+// runs, driven in virtual time.
 type OnlineConfig struct {
 	// Config is the training setup; its Policy provides the starting
 	// partition/credit values and Iterations is ignored (derived from the
 	// window schedule below).
 	Config
-	// WindowIters is the number of iterations profiled per configuration
-	// trial.
+	// WindowIters is the number of clean iterations profiled per
+	// configuration (the controller's DwellIters).
 	WindowIters int
 	// Trials is the number of tuner proposals to evaluate.
 	Trials int
-	// FinalWindows is the number of windows run at the best configuration
-	// after the search completes, whose speed is reported as FinalSpeed.
+	// FinalWindows is the number of windows run at the adopted
+	// configuration after the search completes, whose speed is reported
+	// as FinalSpeed.
 	FinalWindows int
-	// TuneSeed seeds the tuner.
+	// TuneSeed seeds the tuner (the controller's Seed).
 	TuneSeed int64
 	// RestartPenalty models the PS-mode checkpoint-restart cost paid on
 	// every partition-size change (§5: ~5-9 s per restart); the penalty is
@@ -62,7 +65,9 @@ type OnlineResult struct {
 // and credit sizes on the fly. Unlike Tune-by-replay (SpeedWithParams),
 // every sample here comes from a window of the same continuous run, with
 // compute jitter noise if configured — the regime Bayesian Optimization's
-// noise resilience is for.
+// noise resilience is for. At each iteration boundary the engine feeds the
+// controller the finished iteration's virtual duration and applies the
+// configuration it pins for the next one.
 func RunOnlineTuned(oc OnlineConfig) (OnlineResult, error) {
 	cfg := oc.Config.withDefaults()
 	if oc.WindowIters <= 0 {
@@ -77,85 +82,71 @@ func RunOnlineTuned(oc OnlineConfig) (OnlineResult, error) {
 	if !cfg.Scheduled || cfg.Policy.PartitionUnit <= 0 {
 		return OnlineResult{}, fmt.Errorf("runner: online tuning needs a scheduled, partitioned starting policy")
 	}
-	// Window 0 profiles the starting configuration, then one window per
-	// trial, then the final windows.
-	windows := 1 + oc.Trials + oc.FinalWindows
-	cfg.Iterations = windows*oc.WindowIters + 1 // +1: last boundary
+	start := autotune.Setting{Partition: cfg.Policy.PartitionUnit, Credit: cfg.Policy.CreditBytes}
+	if start.Credit == 0 {
+		// Credit 0 is an unlimited window; the controller wants a number.
+		start.Credit = math.MaxInt64
+	}
+	const warmup = 1 // iteration 0 starts with an idle network
+	ctrl, err := autotune.New(start, autotune.Config{
+		Seed:        oc.TuneSeed,
+		WarmupIters: warmup,
+		DwellIters:  oc.WindowIters,
+		Trials:      oc.Trials,
+	})
+	if err != nil {
+		return OnlineResult{}, err
+	}
+	// The baseline window, then every probe (and at most one guarded
+	// re-validation) after its transition iteration, then the final
+	// windows at the adopted config; +1 for the boundary that closes the
+	// last window.
+	d := oc.WindowIters
+	cfg.Iterations = warmup + d + (oc.Trials+1)*(d+1) + 1 + oc.FinalWindows*d + 1
 	cfg.Warmup = 0
 
-	bo := tune.NewBO(tune.ParamBounds(), oc.TuneSeed)
-	samplesPerIter := float64(cfg.Model.BatchPerGPU) * float64(cfg.GPUs)
-
 	var (
-		res        OnlineResult
-		inst       *instance
-		windowFrom float64
-		window     int
-		curPart    = cfg.Policy.PartitionUnit
-		curCredit  = cfg.Policy.CreditBytes
-		pendingX   []float64
+		res  OnlineResult
+		inst *instance
+		prev float64
+		cur  = start
 	)
-
 	engCfg := engineConfig(cfg)
 	engCfg.OnIteration = func(iter int, at float64) {
-		if iter == 0 || iter%oc.WindowIters != 0 {
+		if iter > 0 {
+			ctrl.ObserveIteration(iter-1, at-prev)
+		}
+		prev = at
+		s := ctrl.ConfigFor(iter)
+		if s == cur {
 			return
 		}
-		speed := samplesPerIter * float64(oc.WindowIters) / (at - windowFrom)
-		windowFrom = at
-		res.Windows = append(res.Windows, WindowSample{
-			Window: window, Partition: curPart, Credit: curCredit, Speed: speed,
-		})
-		if window == 0 {
-			res.FirstWindowSpeed = speed
+		if s.Partition != cur.Partition {
+			res.Restarts++
 		}
-		// Report the finished window to the tuner: window 0 profiled the
-		// user's starting configuration, later windows profiled tuner
-		// proposals.
-		if pendingX != nil {
-			bo.Observe(pendingX, speed)
-			pendingX = nil
-		} else {
-			bo.Observe(tune.VectorFromParams(curPart, curCredit), speed)
-		}
-		window++
-		switch {
-		case window <= oc.Trials:
-			// Propose and apply the next configuration.
-			pendingX = bo.Next()
-			p, c := tune.ParamsFromVector(pendingX)
-			if p != curPart {
-				res.Restarts++
-			}
-			curPart, curCredit = p, c
-			inst.setParams(p, c)
-		case window == oc.Trials+1:
-			// Search done: adopt the best configuration.
-			best := bo.Best()
-			p, c := tune.ParamsFromVector(best.X)
-			if p != curPart {
-				res.Restarts++
-			}
-			curPart, curCredit = p, c
-			res.BestPartition, res.BestCredit = p, c
-			inst.setParams(p, c)
-		}
+		cur = s
+		inst.setParams(s.Partition, s.Credit)
 	}
-
-	var err error
-	inst, err = build(cfg, engCfg)
-	if err != nil {
+	if inst, err = build(cfg, engCfg); err != nil {
 		return OnlineResult{}, err
 	}
 	inst.eng.Start()
 	inst.se.Run()
 
-	// FinalSpeed: average over the post-search windows.
+	rep := ctrl.Report()
+	samplesPerIter := float64(cfg.Model.BatchPerGPU) * float64(cfg.GPUs)
 	var sum float64
 	n := 0
-	for _, w := range res.Windows {
-		if w.Window > oc.Trials {
-			sum += w.Speed
+	for i, dec := range rep.Decisions {
+		speed := dec.Speed * samplesPerIter
+		res.Windows = append(res.Windows, WindowSample{
+			Window: i, Partition: dec.Setting.Partition, Credit: dec.Setting.Credit, Speed: speed,
+		})
+		switch dec.Action {
+		case "baseline":
+			res.FirstWindowSpeed = speed
+		case "steady", "regressing":
+			sum += speed
 			n++
 		}
 	}
@@ -163,6 +154,10 @@ func RunOnlineTuned(oc OnlineConfig) (OnlineResult, error) {
 		return OnlineResult{}, fmt.Errorf("runner: no final windows recorded (windows=%d)", len(res.Windows))
 	}
 	res.FinalSpeed = sum / float64(n)
+	res.BestPartition, res.BestCredit = rep.Best.Partition, rep.Best.Credit
+	if res.BestCredit == math.MaxInt64 {
+		res.BestCredit = 0
+	}
 	if cfg.Arch == PS {
 		res.TuningOverhead = float64(res.Restarts) * oc.RestartPenalty
 	}
