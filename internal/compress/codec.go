@@ -193,10 +193,7 @@ func (c Codec) AppendEncode(dst []byte, v []float32) []byte {
 	case CodecTopK:
 		return c.appendTopK(dst, v)
 	default:
-		for _, x := range v {
-			dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(x))
-		}
-		return dst
+		return appendFP32(dst, v)
 	}
 }
 
@@ -223,11 +220,60 @@ func (c Codec) AppendDecode(dst []float32, payload []byte, n int) ([]float32, er
 		}
 		base := len(dst)
 		dst = slices.Grow(dst, n)[:base+n]
-		out := dst[base:]
-		for i := range out {
-			out[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:]))
-		}
+		decodeFP32(dst[base:], payload)
 		return dst, nil
+	}
+}
+
+// DecodeAddFP32 adds the identity-coded (big-endian fp32) payload to dst
+// element by element: the identity decode fused with an aggregation sum,
+// so a receiver that accumulates pushes reads each wire byte once and
+// needs no decode scratch. The payload must hold exactly len(dst) values.
+func DecodeAddFP32(dst []float32, payload []byte) error {
+	if len(payload) != 4*len(dst) {
+		return fmt.Errorf("compress: fp32 payload %dB for %d elements", len(payload), len(dst))
+	}
+	for len(dst) >= 4 && len(payload) >= 16 {
+		dst[0] += math.Float32frombits(binary.BigEndian.Uint32(payload[0:]))
+		dst[1] += math.Float32frombits(binary.BigEndian.Uint32(payload[4:]))
+		dst[2] += math.Float32frombits(binary.BigEndian.Uint32(payload[8:]))
+		dst[3] += math.Float32frombits(binary.BigEndian.Uint32(payload[12:]))
+		dst, payload = dst[4:], payload[16:]
+	}
+	for i := range dst {
+		dst[i] += math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:]))
+	}
+	return nil
+}
+
+// appendFP32 encodes v as big-endian fp32 into output grown once up front.
+// Unlike decodeFP32 and DecodeAddFP32 it stays one value per step: on a
+// 2-vCPU amd64 VM (go1.24) this loop encodes 64 KB at ~6.3 GB/s against
+// ~4.9 GB/s for the best four-value block form measured.
+func appendFP32(dst []byte, v []float32) []byte {
+	base := len(dst)
+	dst = slices.Grow(dst, 4*len(v))[:base+4*len(v)]
+	out := dst[base:]
+	for i, x := range v {
+		binary.BigEndian.PutUint32(out[4*i:], math.Float32bits(x))
+	}
+	return dst
+}
+
+// decodeFP32 decodes len(dst) big-endian fp32 values (len(payload) ==
+// 4*len(dst), checked by the caller), four per step: the loop condition
+// proves every index in the block in range, so the compiler drops the
+// per-value bounds checks (~6.5 GB/s against ~4.5 GB/s one value per step).
+func decodeFP32(dst []float32, payload []byte) {
+	for len(dst) >= 4 && len(payload) >= 16 {
+		dst[0] = math.Float32frombits(binary.BigEndian.Uint32(payload[0:]))
+		dst[1] = math.Float32frombits(binary.BigEndian.Uint32(payload[4:]))
+		dst[2] = math.Float32frombits(binary.BigEndian.Uint32(payload[8:]))
+		dst[3] = math.Float32frombits(binary.BigEndian.Uint32(payload[12:]))
+		dst, payload = dst[4:], payload[16:]
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:]))
 	}
 }
 

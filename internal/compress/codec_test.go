@@ -46,6 +46,52 @@ func TestIdentityRoundTripExact(t *testing.T) {
 	}
 }
 
+// TestFP32KernelsMatchScalar pins the 4-wide identity kernels to the
+// one-value-at-a-time big-endian reference at every length up to three
+// blocks (so every tail size), on arbitrary bit patterns including NaNs:
+// encode must emit the same wire bytes, decode must recover the same bits,
+// and DecodeAddFP32 must equal decode followed by an element-wise sum.
+func TestFP32KernelsMatchScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for n := 0; n <= 13; n++ {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = math.Float32frombits(r.Uint32())
+		}
+		var want []byte
+		for _, x := range v {
+			want = binary.BigEndian.AppendUint32(want, math.Float32bits(x))
+		}
+		prefix := []byte{0xaa}
+		enc := Identity().AppendEncode(prefix, v)
+		if !bytes.Equal(enc[1:], want) || enc[0] != 0xaa {
+			t.Fatalf("n=%d: encode % x, want aa % x", n, enc, want)
+		}
+		dec, err := Identity().AppendDecode(nil, want, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := make([]float32, n)
+		for i := range acc {
+			acc[i] = float32(i) - 6
+		}
+		if err := DecodeAddFP32(acc, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range v {
+			if math.Float32bits(dec[i]) != math.Float32bits(v[i]) {
+				t.Fatalf("n=%d i=%d: decoded %#08x, want %#08x", n, i, math.Float32bits(dec[i]), math.Float32bits(v[i]))
+			}
+			if sum := (float32(i) - 6) + v[i]; math.Float32bits(acc[i]) != math.Float32bits(sum) && sum == sum {
+				t.Fatalf("n=%d i=%d: decode-add %v, want %v", n, i, acc[i], sum)
+			}
+		}
+	}
+	if err := DecodeAddFP32(make([]float32, 2), make([]byte, 7)); err == nil {
+		t.Fatal("DecodeAddFP32 accepted a payload of the wrong length")
+	}
+}
+
 // fp16 round-trip must be within half-precision tolerance: relative error
 // <= 2^-11 for values in the normal half range.
 func TestFP16RoundTripTolerance(t *testing.T) {

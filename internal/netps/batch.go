@@ -13,42 +13,52 @@ type BatchPush struct {
 	Grad []float32
 }
 
-// BatchPull is one parameter pull inside a coalesced batch.
+// BatchPull is one parameter pull inside a coalesced batch: the
+// aggregate is decoded into Out, whose length must be the partition's
+// element count.
 type BatchPull struct {
 	Key  string
 	Iter uint32
+	Out  []float32
 }
 
-// roundTripBatch sends framed sub-requests under one OpBatch envelope and
-// returns the framed sub-responses in request order. Sub-request Seqs must
-// already be assigned by the caller (and are therefore stable across the
-// envelope's transport retries, which is what lets the server deduplicate
-// replayed sub-pushes individually). blocking marks batches containing
-// pulls, which may legitimately wait on cross-worker aggregation.
-func (c *Client) roundTripBatch(subs []message, blocking bool) ([]message, error) {
-	payload, err := encodeBatch(subs)
-	if err != nil {
-		return nil, err
-	}
+// roundTripBatch sends one framed OpBatch envelope and returns the framed
+// sub-responses in request order, plus the response envelope they are
+// views into: the caller releases it once done with the sub-responses.
+// Sub-request Seqs must already be assigned by the caller (and are
+// therefore stable across the envelope's transport retries, which is what
+// lets the server deduplicate replayed sub-pushes individually). blocking
+// marks batches containing pulls, which may legitimately wait on
+// cross-worker aggregation.
+func (c *Client) roundTripBatch(subs []message, payload []byte, blocking bool) ([]message, message, error) {
 	c.inst.batches.Inc()
 	c.inst.batchedMsgs.Add(uint64(len(subs)))
 	resp, err := c.roundTrip(message{Op: OpBatch, Payload: payload, blocking: blocking})
 	if err != nil {
-		return nil, err
+		return nil, message{}, err
 	}
 	out, err := decodeBatch(resp.Payload)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = matchBatch(out, subs)
 	}
+	if err != nil {
+		resp.release()
+		return nil, message{}, err
+	}
+	return out, resp, nil
+}
+
+// matchBatch checks that out answers subs one for one, in order.
+func matchBatch(out, subs []message) error {
 	if len(out) != len(subs) {
-		return nil, fmt.Errorf("netps: batch answered %d of %d sub-requests", len(out), len(subs))
+		return fmt.Errorf("netps: batch answered %d of %d sub-requests", len(out), len(subs))
 	}
 	for i := range out {
 		if out[i].Seq != subs[i].Seq || (out[i].Op != OpErr && (out[i].Key != subs[i].Key || out[i].Iter != subs[i].Iter)) {
-			return nil, fmt.Errorf("netps: mismatched batch sub-response %d (%v/%s/%d)", i, out[i].Op, out[i].Key, out[i].Iter)
+			return fmt.Errorf("netps: mismatched batch sub-response %d (%v/%s/%d)", i, out[i].Op, out[i].Key, out[i].Iter)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // subErr converts an OpErr sub-response into a ServerError, nil otherwise.
@@ -62,23 +72,44 @@ func subErr(m message) error {
 // PushBatch sends several gradient pushes to this shard under one framed
 // write — one round trip, one per-message overhead θ — and returns one
 // error slot per item (a *ServerError for individually rejected pushes).
-// The second return value is the transport outcome for the whole batch: if
-// non-nil, no per-item result is meaningful. Replayed batches (client
-// retried after a lost ack) are safe: each sub-push keeps its own Seq, so
-// the server acknowledges duplicates without double-summing.
+// Each gradient is encoded straight into one pooled envelope behind its
+// sub-header. The second return value is the transport outcome for the
+// whole batch: if non-nil, no per-item result is meaningful. Replayed
+// batches (client retried after a lost ack) are safe: each sub-push keeps
+// its own Seq, so the server acknowledges duplicates without
+// double-summing.
 func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
 	subs := make([]message, len(items))
+	total := 0
 	for i, it := range items {
-		subs[i] = c.pushMessage(it.Key, it.Iter, it.Grad)
+		subs[i] = c.pushHeader(it.Key, it.Iter, it.Grad)
 		subs[i].Seq = c.nextSeq()
+		n, err := frameLen(subs[i], c.codec.EncodedLen(len(it.Grad)))
+		if err != nil {
+			return nil, err
+		}
+		total += n
 	}
-	out, err := c.roundTripBatch(subs, false)
+	if total > maxMessage {
+		return nil, fmt.Errorf("netps: batch payload too large (%d bytes)", total)
+	}
+	env := payloadPool.get(total)
+	defer payloadPool.put(env)
+	buf := (*env)[:0]
+	for i, it := range items {
+		buf = appendHeader(buf, subs[i], c.codec.EncodedLen(len(it.Grad)))
+		start := len(buf)
+		buf = c.codec.AppendEncode(buf, it.Grad)
+		subs[i].Payload = buf[start:]
+	}
+	out, resp, err := c.roundTripBatch(subs, buf, false)
 	if err != nil {
 		return nil, err
 	}
+	defer resp.release()
 	errs := make([]error, len(items))
 	for i := range out {
 		if errs[i] = subErr(out[i]); errs[i] == nil {
@@ -90,36 +121,41 @@ func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
 	return errs, nil
 }
 
-// PullBatch requests several aggregated partitions under one framed write.
-// The batch response arrives once every requested partition is aggregated,
-// so batch pulls trade per-message overhead against head-of-line latency:
-// only batch pulls whose keys become ready together (e.g. partitions of
-// one tensor). Returns one value and one error slot per item, plus the
-// whole-batch transport outcome.
-func (c *Client) PullBatch(items []BatchPull) ([][]float32, []error, error) {
+// PullBatch requests several aggregated partitions under one framed write
+// and decodes each into its item's Out. The batch response arrives once
+// every requested partition is aggregated, so batch pulls trade
+// per-message overhead against head-of-line latency: only batch pulls
+// whose keys become ready together (e.g. partitions of one tensor).
+// Returns one error slot per item, plus the whole-batch transport outcome.
+func (c *Client) PullBatch(items []BatchPull) ([]error, error) {
 	if len(items) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	subs := make([]message, len(items))
 	for i, it := range items {
 		subs[i] = message{Op: OpPull, Iter: it.Iter, Key: it.Key, Seq: c.nextSeq()}
 	}
-	out, err := c.roundTripBatch(subs, true)
+	env, err := pooledBatch(subs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	vals := make([][]float32, len(items))
+	defer payloadPool.put(env)
+	out, resp, err := c.roundTripBatch(subs, *env, true)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.release()
 	errs := make([]error, len(items))
 	for i := range out {
 		if errs[i] = subErr(out[i]); errs[i] != nil {
 			c.inst.serverErrors.Inc()
 			continue
 		}
-		if vals[i], errs[i] = decodePayload(out[i]); errs[i] == nil {
+		if errs[i] = decodeInto(out[i], items[i].Out); errs[i] == nil {
 			c.inst.bytesPulled.Add(uint64(len(out[i].Payload)))
 		}
 	}
-	return vals, errs, nil
+	return errs, nil
 }
 
 // Batcher coalesces pushes to one shard into OpBatch frames, amortizing

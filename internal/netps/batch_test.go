@@ -45,7 +45,8 @@ func TestPushBatchPullBatch(t *testing.T) {
 		}
 	}
 
-	vals, errs, err := c0.PullBatch([]BatchPull{{Key: "a", Iter: 0}, {Key: "b", Iter: 0}})
+	vals := [][]float32{make([]float32, 2), make([]float32, 1)}
+	errs, err = c0.PullBatch([]BatchPull{{Key: "a", Iter: 0, Out: vals[0]}, {Key: "b", Iter: 0, Out: vals[1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPushBatchPullBatch(t *testing.T) {
 		t.Fatalf("batch pull = %v, want [%v %v]", vals, wantA, wantB)
 	}
 	// The other worker must pull too so the server reclaims the entries.
-	if _, _, err := c1.PullBatch([]BatchPull{{Key: "a", Iter: 0}, {Key: "b", Iter: 0}}); err != nil {
+	if _, err := c1.PullBatch([]BatchPull{{Key: "a", Iter: 0, Out: make([]float32, 2)}, {Key: "b", Iter: 0, Out: make([]float32, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,15 +108,15 @@ func TestBatchReplayDeduplicated(t *testing.T) {
 	defer conn.Close()
 
 	subs := []message{
-		{Op: OpPush, Key: "a", Iter: 0, Seq: 1<<32 | 1, Payload: Encode([]float32{5})},
-		{Op: OpPush, Key: "b", Iter: 0, Seq: 1<<32 | 2, Payload: Encode([]float32{7})},
+		{Op: OpPush, Key: "a", Iter: 0, Seq: 1<<32 | 1, Payload: encodeF32([]float32{5})},
+		{Op: OpPush, Key: "b", Iter: 0, Seq: 1<<32 | 2, Payload: encodeF32([]float32{7})},
 	}
-	payload, err := encodeBatch(subs)
+	payload, err := appendBatch(nil, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for replay := 0; replay < 3; replay++ {
-		if err := writeMessage(conn, message{Op: OpBatch, Payload: payload}); err != nil {
+		if err := writeMessageVec(conn, message{Op: OpBatch, Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := readMessage(conn)
@@ -129,14 +130,14 @@ func TestBatchReplayDeduplicated(t *testing.T) {
 
 	c := NewClient(addr)
 	defer c.Close()
-	got, err := c.Pull("a", 0)
+	got, err := pull(c, "a", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 5 {
 		t.Fatalf("a = %v after replays, want 5 (dedup failed)", got)
 	}
-	if got, err := c.Pull("b", 0); err != nil || got[0] != 7 {
+	if got, err := pull(c, "b", 0, 1); err != nil || got[0] != 7 {
 		t.Fatalf("b = %v, %v after replays, want 7", got, err)
 	}
 }
@@ -153,14 +154,14 @@ func TestBatchRejectsUnbatchableOps(t *testing.T) {
 	defer conn.Close()
 
 	subs := []message{
-		{Op: OpPush, Key: "ok", Iter: 0, Seq: 2<<32 | 1, Payload: Encode([]float32{1})},
+		{Op: OpPush, Key: "ok", Iter: 0, Seq: 2<<32 | 1, Payload: encodeF32([]float32{1})},
 		{Op: OpBatch, Key: "nested", Seq: 2<<32 | 2},
 	}
-	payload, err := encodeBatch(subs)
+	payload, err := appendBatch(nil, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMessage(conn, message{Op: OpBatch, Payload: payload}); err != nil {
+	if err := writeMessageVec(conn, message{Op: OpBatch, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := readMessage(conn)
@@ -289,7 +290,7 @@ func TestBatchEncodingBounds(t *testing.T) {
 		{Op: OpPush, Key: "k", Iter: 1, Seq: 9, Payload: []byte{1, 2, 3, 4}},
 		{Op: OpPull, Key: "k2", Iter: 1, Seq: 10},
 	}
-	payload, err := encodeBatch(subs)
+	payload, err := appendBatch(nil, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestBatchEncodingBounds(t *testing.T) {
 	}
 	// A prefix ending exactly on a sub-message boundary is a valid shorter
 	// batch; every other cut must be rejected as truncation.
-	first, err := encodeBatch(subs[:1])
+	first, err := appendBatch(nil, subs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,18 @@
-// Micro-benchmarks of the netps hot paths: message framing (the two-per-RPC
-// writeMessage staging buffer, now pooled), batch envelope encoding (now
-// sized exactly up front), and the server's pull fast path (the aggregate's
-// float32 marshal, now computed once per entry instead of once per pull).
+// Micro-benchmarks of the netps hot paths: message framing (the pooled
+// header staging buffer and the single writev), batch envelope framing
+// into a pooled buffer, the server's pull fast path (the aggregate's
+// float32 marshal, computed once per entry instead of once per pull), and
+// a whole loopback push+pull round.
 //
 // Run with:
 //
-//	go test -bench 'ProtocolEncode|ServerPull' -benchmem ./internal/netps/
+//	go test -bench 'ProtocolEncode|ServerPull|PushPull' -benchmem ./internal/netps/
 package netps
 
 import (
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 )
 
@@ -28,15 +30,15 @@ func BenchmarkProtocolEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessage(io.Discard, m); err != nil {
+		if err := writeMessageVec(io.Discard, m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkProtocolEncodeBatch frames a 32-sub-message OpBatch envelope per
-// iteration: exact pre-sizing makes this one allocation regardless of the
-// sub-message count (it was O(log total) append-doublings).
+// iteration into a pooled buffer: 0 allocs/op regardless of the
+// sub-message count.
 func BenchmarkProtocolEncodeBatch(b *testing.B) {
 	subs := make([]message, 32)
 	for i := range subs {
@@ -51,9 +53,11 @@ func BenchmarkProtocolEncodeBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeBatch(subs); err != nil {
+		env, err := pooledBatch(subs)
+		if err != nil {
 			b.Fatal(err)
 		}
+		payloadPool.put(env)
 	}
 }
 
@@ -72,7 +76,7 @@ func BenchmarkServerPull(b *testing.B) {
 	for i := range grad {
 		grad[i] = float32(i) * 0.5
 	}
-	push := message{Op: OpPush, Iter: 1, Seq: 1<<32 | 1, Key: "w", Payload: encode(grad)}
+	push := message{Op: OpPush, Iter: 1, Seq: 1<<32 | 1, Key: "w", Payload: encodeF32(grad)}
 	if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
 		b.Fatalf("push rejected: %s", resp.Payload)
 	}
@@ -103,29 +107,83 @@ func BenchmarkProtocolEncodeCodec(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessage(io.Discard, m); err != nil {
+		if err := writeMessageVec(io.Discard, m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkProtocolEncodeVecCodec is the scatter-gather (response-path)
-// variant of BenchmarkProtocolEncodeCodec.
-func BenchmarkProtocolEncodeVecCodec(b *testing.B) {
-	m := message{
-		Op:      OpPull,
-		Codec:   2, // compress.CodecInt8
-		Iter:    7,
-		Seq:     1<<32 | 42,
-		Orig:    256 << 10,
-		Key:     "layer12/weight:3",
-		Payload: make([]byte, 4+64<<10),
+// pushPullPair is a two-worker loopback deployment: two clients of one
+// server, each pushing and pulling its own n-float vector once per round.
+type pushPullPair struct {
+	clients [2]*Client
+	grads   [2][]float32
+	outs    [2][]float32
+	iter    uint32
+}
+
+func newPushPullPair(tb testing.TB, n int) *pushPullPair {
+	tb.Helper()
+	srv, err := NewServer(2)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := &pushPullPair{}
+	for w := range p.clients {
+		p.clients[w] = NewClient(addr, WithClientID(uint32(w+1)))
+		p.grads[w], p.outs[w] = make([]float32, n), make([]float32, n)
+		for i := range p.grads[w] {
+			p.grads[w][i] = float32(w + 1)
+		}
+	}
+	tb.Cleanup(func() {
+		for _, c := range p.clients {
+			c.Close()
+		}
+		srv.Close()
+	})
+	return p
+}
+
+// round pushes both vectors and pulls the sum into both outputs.
+func (p *pushPullPair) round(tb testing.TB) {
+	var wg sync.WaitGroup
+	var errs [2]error
+	for w := range p.clients {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if errs[w] = p.clients[w].Push("pp", p.iter, p.grads[w]); errs[w] == nil {
+				errs[w] = p.clients[w].Pull("pp", p.iter, p.outs[w])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if p.outs[0][0] != 3 || p.outs[1][len(p.outs[1])-1] != 3 {
+		tb.Fatalf("round %d: pulled %v / %v, want 3", p.iter, p.outs[0][0], p.outs[1][len(p.outs[1])-1])
+	}
+	p.iter++
+}
+
+// BenchmarkPushPull runs one loopback push+pull round of 64 Ki floats per
+// worker on a two-worker server per op: both clients' encode, the server's
+// read, sum and aggregate encode, and both pulls' decode.
+func BenchmarkPushPull(b *testing.B) {
+	p := newPushPullPair(b, 64<<10)
+	p.round(b) // warm the connection pools and buffer pools
+	b.SetBytes(2 * 4 * 64 << 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessageVec(io.Discard, m); err != nil {
-			b.Fatal(err)
-		}
+		p.round(b)
 	}
 }

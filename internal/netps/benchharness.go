@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bytescheduler/internal/compress"
 )
 
 // LoadOptions parameterizes RunLoad, the server macro-benchmark behind
@@ -103,7 +105,7 @@ func RunLoad(opts LoadOptions) (LoadResult, error) {
 	samples := make([][]float64, opts.Clients)
 	var wg sync.WaitGroup
 
-	payload := Encode(make([]float32, opts.PayloadFloats))
+	payload := compress.Identity().AppendEncode(nil, make([]float32, opts.PayloadFloats))
 
 	runInproc := func(id int) {
 		defer wg.Done()
@@ -166,7 +168,7 @@ func RunLoad(opts LoadOptions) (LoadResult, error) {
 			if err := c.Push(key, iter, vec); err != nil {
 				return
 			}
-			if _, err := c.Pull(key, iter); err != nil {
+			if err := c.Pull(key, iter, vec); err != nil {
 				return
 			}
 			if sampled {

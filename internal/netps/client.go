@@ -281,7 +281,7 @@ func (c *Client) exchange(conn net.Conn, req message) (message, error) {
 	if c.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	if err := writeMessage(conn, req); err != nil {
+	if err := writeMessageVec(conn, req); err != nil {
 		conn.Close()
 		return message{}, err
 	}
@@ -310,10 +310,13 @@ func (c *Client) exchange(conn net.Conn, req message) (message, error) {
 	if resp.Op == OpErr {
 		// Application-level rejection: the connection is still in sync.
 		c.release(conn)
-		return message{}, &ServerError{Msg: string(resp.Payload)}
+		err := &ServerError{Msg: string(resp.Payload)}
+		resp.release()
+		return message{}, err
 	}
 	if resp.Op != req.Op || resp.Key != req.Key || resp.Iter != req.Iter || resp.Seq != req.Seq {
 		conn.Close()
+		resp.release()
 		return message{}, fmt.Errorf("netps: mismatched response %v/%s/%d", resp.Op, resp.Key, resp.Iter)
 	}
 	c.release(conn)
@@ -336,9 +339,11 @@ func opName(op Op) string {
 
 // roundTrip sends one request and reads its response, retrying transport
 // failures under the backoff policy. The request Seq is stable across
-// retries so the server deduplicates replays. Server rejections (OpErr)
-// and response mismatches are returned immediately — they are decisions,
-// not transport faults.
+// retries so the server deduplicates replays, and every retry resends the
+// same payload bytes. Server rejections (OpErr) and response mismatches
+// are returned immediately — they are decisions, not transport faults.
+// The caller owns both the request's and the response's pooled payloads
+// and releases them once the round trip is done with.
 //
 // Every round trip is observed: one latency histogram sample per logical
 // request (retries included in its duration), retry/redial/rejection
@@ -424,55 +429,68 @@ func (c *Client) attempt(req message) (message, error) {
 	}
 }
 
-// pushMessage frames one push through the client's codec. Identity keeps
-// the legacy envelope (codec 0, orig 0) byte-for-byte; other codecs carry
-// the codec id and the original fp32 byte length so the server can decode
-// without out-of-band configuration.
+// pushMessage encodes one push through the client's codec straight into a
+// pooled payload buffer (released by the caller once the round trip ends).
+// Identity keeps the legacy envelope (codec 0, orig 0) byte-for-byte; other
+// codecs carry the codec id and the original fp32 byte length so the
+// server can decode without out-of-band configuration.
 func (c *Client) pushMessage(key string, iter uint32, grad []float32) message {
-	m := message{Op: OpPush, Iter: iter, Key: key}
-	if c.codec.IsIdentity() {
-		m.Payload = Encode(grad)
-		return m
-	}
-	m.Codec = uint8(c.codec.ID())
-	m.Orig = uint32(4 * len(grad))
-	m.Payload = c.codec.AppendEncode(make([]byte, 0, c.codec.EncodedLen(len(grad))), grad)
+	m := c.pushHeader(key, iter, grad)
+	m.pooled = payloadPool.get(c.codec.EncodedLen(len(grad)))
+	m.Payload = c.codec.AppendEncode((*m.pooled)[:0], grad)
 	return m
 }
 
-// decodePayload decodes a pull response by its codec envelope: codec 0 is
-// the raw fp32 path, anything else decodes Orig/4 elements through the
-// identified codec.
-func decodePayload(m message) ([]float32, error) {
-	if m.Codec == 0 {
-		return Decode(m.Payload)
+// pushHeader is a push's envelope without its payload.
+func (c *Client) pushHeader(key string, iter uint32, grad []float32) message {
+	m := message{Op: OpPush, Iter: iter, Key: key}
+	if !c.codec.IsIdentity() {
+		m.Codec = uint8(c.codec.ID())
+		m.Orig = uint32(4 * len(grad))
 	}
+	return m
+}
+
+// decodeInto decodes a pull response into out by its codec envelope. The
+// element count is checked against len(out) before anything is decoded —
+// the count on the wire is untrusted, so it never sizes an allocation:
+// codec 0 is raw fp32 and must carry exactly 4*len(out) bytes; anything
+// else must declare Orig = 4*len(out) and match the codec's framing.
+func decodeInto(m message, out []float32) error {
 	cd, err := compress.CodecByID(compress.CodecID(m.Codec))
 	if err != nil {
-		return nil, fmt.Errorf("netps: pull response: %v", err)
+		return fmt.Errorf("netps: pull response: %v", err)
 	}
-	if m.Orig == 0 || m.Orig%4 != 0 {
-		return nil, fmt.Errorf("netps: pull response original length %d not a positive multiple of 4", m.Orig)
+	if m.Codec != 0 && uint64(m.Orig) != 4*uint64(len(out)) {
+		return fmt.Errorf("netps: pull response original length %d, want %d", m.Orig, 4*len(out))
 	}
-	n := int(m.Orig / 4)
-	return cd.AppendDecode(make([]float32, 0, n), m.Payload, n)
+	if _, err := cd.AppendDecode(out[:0], m.Payload, len(out)); err != nil {
+		return fmt.Errorf("netps: pull response: %v", err)
+	}
+	return nil
 }
 
 // Push sends a gradient partition and returns when the server acknowledges
 // it.
 func (c *Client) Push(key string, iter uint32, grad []float32) error {
-	_, err := c.roundTrip(c.pushMessage(key, iter, grad))
+	req := c.pushMessage(key, iter, grad)
+	resp, err := c.roundTrip(req)
+	resp.release()
+	req.release()
 	return err
 }
 
 // Pull blocks until the partition is aggregated across all workers and
-// returns the summed values.
-func (c *Client) Pull(key string, iter uint32) ([]float32, error) {
+// decodes the summed values into out, whose length must be the
+// partition's element count.
+func (c *Client) Pull(key string, iter uint32, out []float32) error {
 	resp, err := c.roundTrip(message{Op: OpPull, Iter: iter, Key: key})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return decodePayload(resp)
+	err = decodeInto(resp, out)
+	resp.release()
+	return err
 }
 
 // Close closes pooled connections; in-flight round trips own their

@@ -35,7 +35,7 @@ func TestGenerateCodecCorpus(t *testing.T) {
 	}
 	for i, m := range seeds {
 		var b bytes.Buffer
-		if err := writeMessage(&b, m); err != nil {
+		if err := writeMessageVec(&b, m); err != nil {
 			t.Fatal(err)
 		}
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b.String())
@@ -71,12 +71,12 @@ func TestGenerateCrossIterCorpus(t *testing.T) {
 	}
 	for i, m := range singles {
 		var b bytes.Buffer
-		if err := writeMessage(&b, m); err != nil {
+		if err := writeMessageVec(&b, m); err != nil {
 			t.Fatal(err)
 		}
 		write(msgDir, fmt.Sprintf("xiter%02d", i), b.Bytes())
 	}
-	batch, err := encodeBatch([]message{
+	batch, err := appendBatch(nil, []message{
 		{Op: OpPush, Iter: 6, Seq: 5, Key: "w1/L02[0/2]", Payload: []byte{1, 2, 3, 4}},
 		{Op: OpPush, Iter: 7, Seq: 6, Key: "w1/L02[0/2]", Payload: []byte{5, 6, 7, 8}},
 		{Op: OpPull, Iter: 6, Key: "w1/L02[1/2]"},

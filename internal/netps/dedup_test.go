@@ -76,9 +76,9 @@ func TestDedupClientWindowsBounded(t *testing.T) {
 			Key:     fmt.Sprintf("k%d", i),
 			Iter:    0,
 			Seq:     uint64(i)<<32 | 1,
-			Payload: Encode([]float32{1}),
+			Payload: encodeF32([]float32{1}),
 		}
-		if err := writeMessage(conn, push); err != nil {
+		if err := writeMessageVec(conn, push); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := readMessage(conn); err != nil {
@@ -113,9 +113,9 @@ func TestPushReplayAcksWithoutDoubleSum(t *testing.T) {
 	defer conn.Close()
 
 	seq := uint64(7)<<32 | 1
-	push := message{Op: OpPush, Key: "w", Iter: 3, Seq: seq, Payload: Encode([]float32{2})}
+	push := message{Op: OpPush, Key: "w", Iter: 3, Seq: seq, Payload: encodeF32([]float32{2})}
 	for attempt := 0; attempt < 2; attempt++ { // original + replay
-		if err := writeMessage(conn, push); err != nil {
+		if err := writeMessageVec(conn, push); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := readMessage(conn)
@@ -127,22 +127,22 @@ func TestPushReplayAcksWithoutDoubleSum(t *testing.T) {
 		}
 	}
 	// Second worker's push completes the aggregate.
-	push2 := message{Op: OpPush, Key: "w", Iter: 3, Seq: uint64(8)<<32 | 1, Payload: Encode([]float32{5})}
-	if err := writeMessage(conn, push2); err != nil {
+	push2 := message{Op: OpPush, Key: "w", Iter: 3, Seq: uint64(8)<<32 | 1, Payload: encodeF32([]float32{5})}
+	if err := writeMessageVec(conn, push2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readMessage(conn); err != nil {
 		t.Fatal(err)
 	}
 	pull := message{Op: OpPull, Key: "w", Iter: 3, Seq: uint64(7)<<32 | 2}
-	if err := writeMessage(conn, pull); err != nil {
+	if err := writeMessageVec(conn, pull); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := readMessage(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := Decode(resp.Payload)
+	vals, err := decodeF32(resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestStalePooledConnectionRedial(t *testing.T) {
 	if err := c.Push("w", 0, []float32{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Pull("w", 0); err != nil {
+	if _, err := pull(c, "w", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The server closes the pooled connection while it sits idle (e.g. an
@@ -49,7 +49,7 @@ func TestStalePooledConnectionRedial(t *testing.T) {
 	if err := c.Push("w", 1, []float32{2}); err != nil {
 		t.Fatalf("push over stale pooled connection not recovered: %v", err)
 	}
-	got, err := c.Pull("w", 1)
+	got, err := pull(c, "w", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestServerCloseFailsBlockedPull(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.Pull("w", 0) // blocks: worker 2 never pushes
+		_, err := pull(c, "w", 0, 1) // blocks: worker 2 never pushes
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // let the pull reach the waiter list
@@ -174,7 +174,7 @@ func TestOversizedPayloadRejected(t *testing.T) {
 		t.Fatal("oversized payload length accepted")
 	}
 	// Write side symmetric checks.
-	if err := writeMessage(io.Discard, message{Op: OpPush, Payload: make([]byte, maxMessage+1)}); err == nil {
+	if err := writeMessageVec(io.Discard, message{Op: OpPush, Payload: make([]byte, maxMessage+1)}); err == nil {
 		t.Fatal("oversized payload write accepted")
 	}
 	// Wire level: a live server must drop the connection.
@@ -208,7 +208,7 @@ func TestServerErrorResponses(t *testing.T) {
 		t.Fatalf("size mismatch error = %v, want ServerError", err)
 	}
 	// The connection survived the rejection: the pull still works.
-	got, err := c.Pull("w", 0)
+	got, err := pull(c, "w", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPushReplayDeduplicated(t *testing.T) {
 	defer c.Close()
 	// Replay the same logical push (same Seq) twice, as a retry after a
 	// lost ack would: the sum must count it once.
-	req := message{Op: OpPush, Iter: 0, Seq: c.nextSeq(), Key: "w", Payload: Encode([]float32{5})}
+	req := message{Op: OpPush, Iter: 0, Seq: c.nextSeq(), Key: "w", Payload: encodeF32([]float32{5})}
 	conn, err := c.dial()
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestPushReplayDeduplicated(t *testing.T) {
 	if _, err := c.exchange(conn, req); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Pull("w", 0)
+	got, err := pull(c, "w", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +329,10 @@ func TestSchedulerRecoversFromServerCrash(t *testing.T) {
 				// First successful sub-task triggers the crash: the rest
 				// of the iteration is in flight when the shard dies.
 				crash.Do(kill)
-				sum, err := c.Pull(key, 0)
-				if err != nil {
+				if err := c.Pull(key, 0, results[layer][lo:hi]); err != nil {
 					fail(err)
 					return
 				}
-				copy(results[layer][lo:hi], sum)
 				done(nil)
 			},
 			OnFinished: func() { wg.Done() },

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push := message{Op: OpPush, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 1, Payload: Encode([]float32{3, 4})}
+	push := message{Op: OpPush, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 1, Payload: encodeF32([]float32{3, 4})}
 	if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
 		t.Fatalf("push response: %+v", resp)
 	}
@@ -46,7 +47,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	if errResp != nil {
 		t.Fatalf("retried pull rejected: %s", errResp.Payload)
 	}
-	got, err := Decode(result.payload)
+	got, err := decodeF32(result.payload)
 	if err != nil || len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("replayed payload = %v (%v), want [3 4]", got, err)
 	}
@@ -68,7 +69,7 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push := message{Op: OpPush, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 1, Payload: Encode([]float32{3})}
+	push := message{Op: OpPush, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 1, Payload: encodeF32([]float32{3})}
 	srv.processPush(push)
 	pull := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 2}
 	if _, wait, errResp := srv.preparePull(pull); wait != nil || errResp != nil {
@@ -106,14 +107,14 @@ func TestReclaimedPullReplayEndToEnd(t *testing.T) {
 	if err := c1.Push("w", 5, []float32{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Pull("w", 5); err != nil {
+	if _, err := pull(c1, "w", 5, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Entry reclaimed. A retried pull (different Seq — here a second
 	// client entirely) must still be answered.
 	c2 := NewClient(addr, WithClientID(2), WithPullTimeout(2*time.Second), WithRetries(0))
 	defer c2.Close()
-	vals, err := c2.Pull("w", 5)
+	vals, err := pull(c2, "w", 5, 2)
 	if err != nil {
 		t.Fatalf("retried pull after reclaim: %v", err)
 	}
@@ -153,7 +154,7 @@ func TestMsgsCountsRetriedFrames(t *testing.T) {
 		if err != nil {
 			return
 		}
-		writeMessage(conn, pushAck(req)) //nolint:errcheck // test server
+		writeMessageVec(conn, pushAck(req)) //nolint:errcheck // test server
 	}()
 	reg := metrics.NewRegistry()
 	c := NewClient(ln.Addr().String(),
@@ -239,7 +240,7 @@ func TestResumedConnDoesNotHoldPoolWorker(t *testing.T) {
 	}
 	pulled := make(chan error, 1)
 	go func() {
-		_, err := a.Pull("k", 1) // parks: only 1 of 2 pushes in
+		_, err := pull(a, "k", 1, 1) // parks: only 1 of 2 pushes in
 		pulled <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the pull reach the server and park
@@ -259,7 +260,7 @@ func TestResumedConnDoesNotHoldPoolWorker(t *testing.T) {
 	if err := b.Push("fresh", 1, []float32{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := c.Pull("fresh", 1)
+	vals, err := pull(c, "fresh", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestEmptyPushRejected(t *testing.T) {
 	if err := c.Push("w", 0, []float32{1, 2}); err != nil {
 		t.Fatalf("well-formed push after empty push: %v", err)
 	}
-	vals, err := c.Pull("w", 0)
+	vals, err := pull(c, "w", 0, 2)
 	if err != nil || len(vals) != 2 {
 		t.Fatalf("pull after recovery = %v (%v), want [1 2]", vals, err)
 	}
@@ -320,7 +321,7 @@ func TestDedupGaugeTracksClientEviction(t *testing.T) {
 	for client := 1; client <= 3; client++ { // third client evicts the first
 		for n := 1; n <= 3; n++ {
 			push := message{Op: OpPush, Key: fmt.Sprintf("k%d-%d", client, n),
-				Seq: uint64(client)<<32 | uint64(n), Payload: Encode([]float32{1})}
+				Seq: uint64(client)<<32 | uint64(n), Payload: encodeF32([]float32{1})}
 			if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
 				t.Fatalf("push rejected: %s", resp.Payload)
 			}
@@ -353,7 +354,7 @@ func BenchmarkRecordPushGauge(b *testing.B) {
 			sh.mu.Unlock()
 		}
 	}
-	payload := Encode(make([]float32, 64))
+	payload := encodeF32(make([]float32, 64))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -361,6 +362,94 @@ func BenchmarkRecordPushGauge(b *testing.B) {
 			Seq: uint64(200)<<32 | uint64(i+1), Payload: payload}
 		if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
 			b.Fatalf("push rejected: %s", resp.Payload)
+		}
+	}
+}
+
+// --- pull decode sized by an untrusted original length ---
+
+// fakePullServer answers every request on one connection with a response
+// whose codec envelope claims an fp16 aggregate of Orig = 0xFFFFFFFC bytes
+// (a billion elements) while carrying 4 payload bytes; batch requests get
+// one such sub-response per sub-request.
+func fakePullServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	lie := func(req message) message {
+		return message{Op: req.Op, Codec: 1, Iter: req.Iter, Seq: req.Seq, Orig: 0xFFFFFFFC, Key: req.Key, Payload: []byte{0x3c, 0, 0x3c, 0}}
+	}
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for {
+			req, err := readMessage(br)
+			if err != nil {
+				return
+			}
+			resp := lie(req)
+			if req.Op == OpBatch {
+				subs, err := decodeBatch(req.Payload)
+				if err != nil {
+					return
+				}
+				for i := range subs {
+					subs[i] = lie(subs[i])
+				}
+				if resp.Payload, err = appendBatch(nil, subs); err != nil {
+					return
+				}
+				resp.Codec, resp.Orig = 0, 0
+			}
+			if writeMessageVec(conn, resp) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestPullRejectsUntrustedOrigBeforeAllocating sends Pull and PullBatch a
+// 4-byte fp16 response whose envelope claims Orig = 0xFFFFFFFC. Pre-fix,
+// the client decoder pre-allocated Orig/4 floats (4 GiB) before checking
+// the payload framing; now the count is checked against the destination
+// first, so both calls fail with under 1 MB allocated.
+func TestPullRejectsUntrustedOrigBeforeAllocating(t *testing.T) {
+	c := NewClient(fakePullServer(t), WithRetries(0))
+	defer c.Close()
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var err error
+	if n := allocated(func() { err = c.Pull("k", 1, make([]float32, 2)) }); n >= 1<<20 {
+		t.Fatalf("Pull allocated %d bytes for a 4-byte response", n)
+	}
+	if err == nil {
+		t.Fatal("Pull accepted an original length that disagrees with its destination")
+	}
+	var errs []error
+	if n := allocated(func() {
+		errs, err = c.PullBatch([]BatchPull{{Key: "a", Iter: 1, Out: make([]float32, 2)}, {Key: "b", Iter: 1, Out: make([]float32, 2)}})
+	}); n >= 1<<20 {
+		t.Fatalf("PullBatch allocated %d bytes for 4-byte sub-responses", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e == nil {
+			t.Fatalf("PullBatch item %d accepted an original length that disagrees with its destination", i)
 		}
 	}
 }

@@ -21,11 +21,11 @@ import (
 	"testing"
 )
 
-// frame encodes m exactly as writeMessage would, for seeding.
+// frame encodes m exactly as writeMessageVec would, for seeding.
 func frame(t testing.TB, m message) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := writeMessage(&b, m); err != nil {
+	if err := writeMessageVec(&b, m); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -68,7 +68,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		// Round trip: decoded messages must re-encode and re-decode
 		// identically.
 		var b bytes.Buffer
-		if err := writeMessage(&b, m); err != nil {
+		if err := writeMessageVec(&b, m); err != nil {
 			t.Fatalf("re-encode of decoded message failed: %v", err)
 		}
 		m2, err := readMessage(bytes.NewReader(b.Bytes()))
@@ -83,20 +83,23 @@ func FuzzDecodeMessage(f *testing.F) {
 		if len(m.Payload) > len(data) {
 			t.Fatalf("decoded payload %d bytes from %d input bytes", len(m.Payload), len(data))
 		}
-		// The codec-aware payload decoder must reject adversarial codec
-		// ids, original lengths, and payload framing without panicking.
-		_, _ = decodePayload(m)
+		// The codec-aware pull decoder must reject adversarial codec ids,
+		// original lengths, and payload framing without panicking, for
+		// every destination size an fp32, fp16 or int8 payload implies.
+		for _, n := range []int{len(m.Payload) / 4, len(m.Payload) / 2, len(m.Payload)} {
+			_ = decodeInto(m, make([]float32, n))
+		}
 	})
 }
 
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
-	one, err := encodeBatch([]message{{Op: OpPush, Iter: 1, Seq: 2, Key: "a", Payload: []byte{0, 0, 128, 63}}})
+	one, err := appendBatch(nil, []message{{Op: OpPush, Iter: 1, Seq: 2, Key: "a", Payload: []byte{0, 0, 128, 63}}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(one)
-	two, err := encodeBatch([]message{
+	two, err := appendBatch(nil, []message{
 		{Op: OpPush, Seq: 3, Key: "w1/L00[0/2]", Payload: []byte{1, 2, 3, 4}},
 		{Op: OpPull, Seq: 4, Key: "w1/L00[1/2]"},
 	})
@@ -106,7 +109,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(two)
 	// A pipelined batch: iteration i and i+1 subs for the same key in one
 	// envelope, the wire shape two in-flight iterations produce.
-	xiter, err := encodeBatch([]message{
+	xiter, err := appendBatch(nil, []message{
 		{Op: OpPush, Iter: 6, Seq: 5, Key: "w1/L02[0/2]", Payload: []byte{1, 2, 3, 4}},
 		{Op: OpPush, Iter: 7, Seq: 6, Key: "w1/L02[0/2]", Payload: []byte{5, 6, 7, 8}},
 		{Op: OpPull, Iter: 6, Key: "w1/L02[1/2]"},
@@ -126,7 +129,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 		// Round trip through the envelope encoder.
-		re, err := encodeBatch(subs)
+		re, err := appendBatch(nil, subs)
 		if err != nil {
 			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/tensor"
 )
@@ -14,7 +15,7 @@ import (
 func TestProtocolRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := message{Op: OpPull, Iter: 7, Key: "L03/weight[2/4]", Payload: []byte{1, 2, 3, 4}}
-	if err := writeMessage(&buf, in); err != nil {
+	if err := writeMessageVec(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := readMessage(&buf)
@@ -28,7 +29,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 
 func TestProtocolEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMessage(&buf, message{Op: OpPush, Key: "k"}); err != nil {
+	if err := writeMessageVec(&buf, message{Op: OpPush, Key: "k"}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := readMessage(&buf)
@@ -40,10 +41,16 @@ func TestProtocolEmptyPayload(t *testing.T) {
 	}
 }
 
+// TestEncodeDecode round-trips a vector through the client's push
+// encoding and the pull decode, and checks the decode refuses payloads
+// whose size disagrees with the destination.
 func TestEncodeDecode(t *testing.T) {
-	v := []float32{1.5, -2.25, 0, 3e7}
-	got, err := Decode(Encode(v))
-	if err != nil {
+	v := []float32{1.5, -2.25, 0, 3e7, 7}
+	c := NewClient("unused")
+	m := c.pushMessage("k", 0, v)
+	defer m.release()
+	got := make([]float32, len(v))
+	if err := decodeInto(message{Payload: m.Payload}, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range v {
@@ -51,9 +58,39 @@ func TestEncodeDecode(t *testing.T) {
 			t.Fatalf("decode mismatch at %d: %v vs %v", i, got[i], v[i])
 		}
 	}
-	if _, err := Decode([]byte{1, 2, 3}); err == nil {
+	if err := decodeInto(message{Payload: []byte{1, 2, 3}}, make([]float32, 1)); err == nil {
 		t.Fatal("ragged payload accepted")
 	}
+	if err := decodeInto(message{Payload: m.Payload}, make([]float32, len(v)+1)); err == nil {
+		t.Fatal("payload shorter than the destination accepted")
+	}
+}
+
+// encodeF32 is the identity (raw fp32) wire encoding of v.
+func encodeF32(v []float32) []byte { return compress.Identity().AppendEncode(nil, v) }
+
+// decodeF32 parses an identity-coded payload.
+func decodeF32(p []byte) ([]float32, error) {
+	return compress.Identity().AppendDecode(nil, p, len(p)/4)
+}
+
+// pull pulls key's n-element aggregate into a fresh vector.
+func pull(c *Client, key string, iter uint32, n int) ([]float32, error) {
+	out := make([]float32, n)
+	return out, c.Pull(key, iter, out)
+}
+
+// drained waits until the server has reclaimed every entry, or a second
+// has passed, and returns how many are left. The server counts a pull as
+// served only after its response write returns, so a client can hold the
+// aggregate a moment before the entry is reclaimed; an entry that is
+// really leaked stays.
+func drained(srv *Server) int {
+	deadline := time.Now().Add(time.Second)
+	for srv.Outstanding() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return srv.Outstanding()
 }
 
 func startServer(t *testing.T, workers int) (*Server, string) {
@@ -83,7 +120,7 @@ func TestPushPullAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []*Client{c0, c1} {
-		got, err := c.Pull("w", 0)
+		got, err := pull(c, "w", 0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +131,8 @@ func TestPushPullAggregates(t *testing.T) {
 			}
 		}
 	}
-	if srv.Outstanding() != 0 {
-		t.Fatalf("server leaked %d entries", srv.Outstanding())
+	if n := drained(srv); n != 0 {
+		t.Fatalf("server leaked %d entries", n)
 	}
 }
 
@@ -110,7 +147,7 @@ func TestPullBlocksUntilAllPush(t *testing.T) {
 	}
 	done := make(chan []float32, 1)
 	go func() {
-		v, err := c0.Pull("w", 0)
+		v, err := pull(c0, "w", 0, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -133,7 +170,7 @@ func TestPullBlocksUntilAllPush(t *testing.T) {
 		t.Fatal("pull never unblocked")
 	}
 	// Drain worker 1's pull so the entry is reclaimed.
-	if _, err := c1.Pull("w", 0); err != nil {
+	if _, err := pull(c1, "w", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +183,7 @@ func TestIterationsIsolated(t *testing.T) {
 		if err := c.Push("w", iter, []float32{float32(iter)}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Pull("w", iter)
+		got, err := pull(c, "w", iter, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,13 +243,11 @@ func TestLiveSchedulerOverTCP(t *testing.T) {
 							done()
 							return
 						}
-						sum, err := client.Pull(key, 0)
-						if err != nil {
+						if err := client.Pull(key, 0, results[w][layer][lo:hi]); err != nil {
 							t.Error(err)
 							done()
 							return
 						}
-						copy(results[w][layer][lo:hi], sum)
 						done()
 					},
 					OnFinished: func() { layerWG.Done() },
@@ -247,7 +282,7 @@ func TestLiveSchedulerOverTCP(t *testing.T) {
 			}
 		}
 	}
-	if srv.Outstanding() != 0 {
-		t.Fatalf("server leaked %d entries", srv.Outstanding())
+	if n := drained(srv); n != 0 {
+		t.Fatalf("server leaked %d entries", n)
 	}
 }

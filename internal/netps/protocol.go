@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 )
@@ -70,7 +71,10 @@ const maxMessage = 512 << 20
 // maxPrealloc caps the up-front payload allocation while reading a frame:
 // a malicious length prefix can make the decoder *work* at most this hard
 // before the stream runs dry, never allocate the full advertised size.
-const maxPrealloc = 4 << 20
+const maxPrealloc = 1 << maxPreallocShift
+
+// maxPreallocShift is log2(maxPrealloc) (4 MB).
+const maxPreallocShift = 22
 
 // header is the fixed-size request/response prefix.
 //
@@ -98,16 +102,64 @@ type message struct {
 	// client applies the pull read deadline instead of the push deadline.
 	// Not serialized.
 	blocking bool
+	// pooled is Payload's backing buffer when it came from payloadPool
+	// (a frame read off the wire, or a client push encoded into one);
+	// release hands it back. Not serialized.
+	pooled *[]byte
 }
+
+// release returns the payload buffer to its pool. Neither the message nor
+// any view into its payload (batch sub-messages included) may be used
+// afterwards; messages whose payload is not pooled are a no-op.
+func (m *message) release() {
+	if m.pooled != nil {
+		payloadPool.put(m.pooled)
+		m.pooled, m.Payload = nil, nil
+	}
+}
+
+// classPool recycles slices by power-of-two capacity class, one element up
+// to maxPrealloc elements; larger requests are allocated exactly and never
+// pooled. Entries are *[]T so Put does not box a slice header.
+type classPool[T any] struct {
+	classes [maxPreallocShift + 1]sync.Pool
+}
+
+// get returns a buffer of length n whose contents are unspecified.
+func (p *classPool[T]) get(n int) *[]T {
+	if n > maxPrealloc {
+		b := make([]T, n)
+		return &b
+	}
+	class := bits.Len(uint(max(n, 1) - 1))
+	if bp, ok := p.classes[class].Get().(*[]T); ok {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]T, n, 1<<class)
+	return &b
+}
+
+// put returns a buffer from get to its class.
+func (p *classPool[T]) put(bp *[]T) {
+	if c := cap(*bp); c > 0 && c <= maxPrealloc && c&(c-1) == 0 {
+		p.classes[bits.Len(uint(c-1))].Put(bp)
+	}
+}
+
+// payloadPool holds frame payloads: pushes the client encodes, batch
+// envelopes either side frames, and every payload read off the wire. The
+// owner releases each once the round trip or the request is done (see
+// message.release), so steady-state frames do not allocate.
+var payloadPool classPool[byte]
 
 // fixedHeader is the length of the constant-size header prefix.
 const fixedHeader = 1 + 1 + 4 + 8 + 4 + 2
 
 // putFixed serializes the constant-size header prefix of m into
-// hdr[:fixedHeader] followed by the key and the payload length — the shared
-// layout of appendMessage, writeMessage and writeMessageVec. hdr must be
-// fixedHeader+len(key)+4 bytes.
-func putFixed(hdr []byte, m message) {
+// hdr[:fixedHeader] followed by the key and the payload length — the one
+// header layout every frame uses. hdr must be fixedHeader+len(key)+4 bytes.
+func putFixed(hdr []byte, m message, payloadLen int) {
 	hdr[0] = byte(m.Op)
 	hdr[1] = m.Codec
 	binary.BigEndian.PutUint32(hdr[2:6], m.Iter)
@@ -115,7 +167,7 @@ func putFixed(hdr []byte, m message) {
 	binary.BigEndian.PutUint32(hdr[14:18], m.Orig)
 	binary.BigEndian.PutUint16(hdr[18:20], uint16(len(m.Key)))
 	copy(hdr[fixedHeader:], m.Key)
-	binary.BigEndian.PutUint32(hdr[fixedHeader+len(m.Key):], uint32(len(m.Payload)))
+	binary.BigEndian.PutUint32(hdr[fixedHeader+len(m.Key):], uint32(payloadLen))
 }
 
 // parseFixed deserializes the constant-size prefix (the inverse of
@@ -131,47 +183,67 @@ func parseFixed(fixed []byte) (message, int) {
 	return m, int(binary.BigEndian.Uint16(fixed[18:20]))
 }
 
-// appendMessage frames m onto buf (the same wire format writeMessage
-// emits) and returns the extended slice — used to build OpBatch payloads.
-func appendMessage(buf []byte, m message) ([]byte, error) {
+// frameLen returns the framed size of m carrying a payloadLen-byte
+// payload, rejecting keys and payloads the header cannot represent.
+func frameLen(m message, payloadLen int) (int, error) {
 	if len(m.Key) > 1<<16-1 {
-		return nil, fmt.Errorf("netps: key too long (%d bytes)", len(m.Key))
+		return 0, fmt.Errorf("netps: key too long (%d bytes)", len(m.Key))
 	}
-	if len(m.Payload) > maxMessage {
-		return nil, fmt.Errorf("netps: payload too large (%d bytes)", len(m.Payload))
+	if payloadLen > maxMessage {
+		return 0, fmt.Errorf("netps: payload too large (%d bytes)", payloadLen)
 	}
-	bp := headerPool.Get().(*[]byte)
-	need := fixedHeader + len(m.Key) + 4
-	if cap(*bp) < need {
-		*bp = make([]byte, 0, need)
-	}
-	hdr := (*bp)[:need]
-	putFixed(hdr, m)
-	buf = append(buf, hdr...)
-	buf = append(buf, m.Payload...)
-	headerPool.Put(bp)
-	return buf, nil
+	return fixedHeader + len(m.Key) + 4 + payloadLen, nil
 }
 
-// encodeBatch frames sub-messages into one OpBatch payload. The buffer is
-// sized exactly up front — one allocation per batch regardless of the
-// sub-message count, instead of append-doubling through the envelope.
-func encodeBatch(subs []message) ([]byte, error) {
+// appendHeader appends m's header, announcing a payloadLen-byte payload
+// the caller appends next — how a batch is framed in place, each payload
+// encoded straight into the envelope behind its header.
+func appendHeader(buf []byte, m message, payloadLen int) []byte {
+	n := len(buf)
+	buf = append(buf, make([]byte, fixedHeader+len(m.Key)+4)...)
+	putFixed(buf[n:], m, payloadLen)
+	return buf
+}
+
+// batchLen returns the size of the OpBatch payload framing subs.
+func batchLen(subs []message) (int, error) {
 	total := 0
 	for _, m := range subs {
-		total += fixedHeader + len(m.Key) + 4 + len(m.Payload)
+		n, err := frameLen(m, len(m.Payload))
+		if err != nil {
+			return 0, err
+		}
+		total += n
 	}
 	if total > maxMessage {
-		return nil, fmt.Errorf("netps: batch payload too large (%d bytes)", total)
+		return 0, fmt.Errorf("netps: batch payload too large (%d bytes)", total)
 	}
-	buf := make([]byte, 0, total)
+	return total, nil
+}
+
+// appendBatch frames sub-messages into one OpBatch payload appended to
+// dst; with batchLen(subs) spare capacity it does not allocate.
+func appendBatch(dst []byte, subs []message) ([]byte, error) {
+	if _, err := batchLen(subs); err != nil {
+		return nil, err
+	}
 	for _, m := range subs {
-		var err error
-		if buf, err = appendMessage(buf, m); err != nil {
-			return nil, err
-		}
+		dst = appendHeader(dst, m, len(m.Payload))
+		dst = append(dst, m.Payload...)
 	}
-	return buf, nil
+	return dst, nil
+}
+
+// pooledBatch frames subs into a pooled envelope buffer; the caller
+// releases it with payloadPool.put once the envelope is written.
+func pooledBatch(subs []message) (*[]byte, error) {
+	n, err := batchLen(subs)
+	if err != nil {
+		return nil, err
+	}
+	env := payloadPool.get(n)
+	*env, _ = appendBatch((*env)[:0], subs) // batchLen already validated subs
+	return env, nil
 }
 
 // decodeBatch parses an OpBatch payload back into its framed sub-messages.
@@ -203,11 +275,12 @@ func decodeBatch(payload []byte) ([]message, error) {
 	return subs, nil
 }
 
-// headerPool recycles writeMessage's header staging buffers. Headers are
-// fixedHeader + key + 4 bytes — small and extremely hot (two per RPC on
-// the live path) — so pooling removes one allocation per framed write.
-// The pool stores *[]byte, not []byte, so Put does not itself allocate an
-// interface box for the slice header.
+// headerPool recycles the header staging buffers of writeMessageVec and
+// readMessage. Headers are fixedHeader + key + 4 bytes — small and
+// extremely hot (two per RPC on the live path) — so pooling removes one
+// allocation per framed write and read. The pool stores *[]byte, not
+// []byte, so Put does not itself allocate an interface box for the slice
+// header.
 var headerPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 256)
@@ -215,34 +288,14 @@ var headerPool = sync.Pool{
 	},
 }
 
-// writeMessage frames and writes one message. The header is staged in a
-// pooled buffer that is returned before writing the payload, so steady-
-// state framing does not allocate.
-func writeMessage(w io.Writer, m message) error {
-	if len(m.Key) > 1<<16-1 {
-		return fmt.Errorf("netps: key too long (%d bytes)", len(m.Key))
-	}
-	if len(m.Payload) > maxMessage {
-		return fmt.Errorf("netps: payload too large (%d bytes)", len(m.Payload))
-	}
+// stage returns a pooled scratch buffer of length n.
+func stage(n int) *[]byte {
 	bp := headerPool.Get().(*[]byte)
-	n := fixedHeader + len(m.Key) + 4
 	if cap(*bp) < n {
 		*bp = make([]byte, 0, n)
 	}
-	hdr := (*bp)[:n]
-	putFixed(hdr, m)
-	_, err := w.Write(hdr)
-	headerPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	if len(m.Payload) > 0 {
-		if _, err := w.Write(m.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	*bp = (*bp)[:n]
+	return bp
 }
 
 // vecPool recycles the two-element net.Buffers used by writeMessageVec.
@@ -255,25 +308,19 @@ var vecPool = sync.Pool{
 }
 
 // writeMessageVec frames and writes one message with a scatter-gather
-// write: header and payload go out in a single writev instead of two
-// Write calls, halving syscalls on the response path without copying the
-// payload into the header buffer. The pooled header is retained until the
-// write completes (net.Buffers may consume it incrementally), then
-// recycled — steady-state framing still does not allocate.
+// write: header and payload go out in a single writev, without copying the
+// payload into the header buffer. Every frame either side sends takes this
+// path. The pooled header is retained until the write completes
+// (net.Buffers may consume it incrementally), then recycled — steady-state
+// framing does not allocate.
 func writeMessageVec(w io.Writer, m message) error {
-	if len(m.Key) > 1<<16-1 {
-		return fmt.Errorf("netps: key too long (%d bytes)", len(m.Key))
+	n, err := frameLen(m, len(m.Payload))
+	if err != nil {
+		return err
 	}
-	if len(m.Payload) > maxMessage {
-		return fmt.Errorf("netps: payload too large (%d bytes)", len(m.Payload))
-	}
-	bp := headerPool.Get().(*[]byte)
-	n := fixedHeader + len(m.Key) + 4
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
-	}
-	hdr := (*bp)[:n]
-	putFixed(hdr, m)
+	bp := stage(n - len(m.Payload))
+	hdr := *bp
+	putFixed(hdr, m, len(m.Payload))
 	if len(m.Payload) == 0 {
 		_, err := w.Write(hdr)
 		headerPool.Put(bp)
@@ -282,7 +329,7 @@ func writeMessageVec(w io.Writer, m message) error {
 	vp := vecPool.Get().(*net.Buffers)
 	bufs := append((*vp)[:0], hdr, m.Payload)
 	*vp = bufs
-	_, err := vp.WriteTo(w)
+	_, err = vp.WriteTo(w)
 	// WriteTo consumes the Buffers it is called on — it advances *vp to
 	// zero length AND zero capacity. Restore the pooled slice from the
 	// pre-consume header so the pool keeps the backing array; pooling the
@@ -296,19 +343,21 @@ func writeMessageVec(w io.Writer, m message) error {
 }
 
 // readPayload reads exactly n payload bytes with the up-front allocation
-// capped at maxPrealloc: small payloads get one exact allocation, large
-// ones grow with the bytes that actually arrive, so an adversarial length
-// prefix cannot force a giant allocation before the stream runs dry.
-func readPayload(r io.Reader, n int) ([]byte, error) {
+// capped at maxPrealloc: payloads up to the cap read into a payloadPool
+// buffer (returned as pooled), larger ones grow with the bytes that
+// actually arrive, so an adversarial length prefix cannot force a giant
+// allocation before the stream runs dry.
+func readPayload(r io.Reader, n int) (payload []byte, pooled *[]byte, err error) {
 	if n <= 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if n <= maxPrealloc {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
+		bp := payloadPool.get(n)
+		if _, err := io.ReadFull(r, *bp); err != nil {
+			payloadPool.put(bp)
+			return nil, nil, err
 		}
-		return buf, nil
+		return *bp, bp, nil
 	}
 	var b bytes.Buffer
 	b.Grow(maxPrealloc)
@@ -316,21 +365,29 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return b.Bytes(), nil
+	return b.Bytes(), nil, nil
 }
 
 // readMessage reads one framed message. It returns an error — never
 // panics, never allocates beyond the bytes actually received — on
-// truncated or adversarial input (FuzzDecodeMessage enforces this).
+// truncated or adversarial input (FuzzDecodeMessage enforces this). The
+// payload is pooled: the caller owns it and releases the message when
+// done with it.
 func readMessage(r io.Reader) (message, error) {
-	var fixed [fixedHeader]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
+	// The header is staged in a pooled buffer: a local array would escape
+	// to the heap through the io.Reader call.
+	bp := stage(fixedHeader)
+	defer headerPool.Put(bp)
+	if _, err := io.ReadFull(r, *bp); err != nil {
 		return message{}, err
 	}
-	m, keyLen := parseFixed(fixed[:])
-	buf := make([]byte, keyLen+4)
+	m, keyLen := parseFixed(*bp)
+	if cap(*bp) < keyLen+4 {
+		*bp = make([]byte, keyLen+4)
+	}
+	buf := (*bp)[:keyLen+4]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return message{}, err
 	}
@@ -339,10 +396,9 @@ func readMessage(r io.Reader) (message, error) {
 	if payloadLen > maxMessage {
 		return message{}, fmt.Errorf("netps: payload length %d exceeds limit", payloadLen)
 	}
-	payload, err := readPayload(r, int(payloadLen))
-	if err != nil {
+	var err error
+	if m.Payload, m.pooled, err = readPayload(r, int(payloadLen)); err != nil {
 		return message{}, err
 	}
-	m.Payload = payload
 	return m, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -182,7 +181,14 @@ type entryKey struct {
 }
 
 type entry struct {
-	sum    []float32
+	// sum accumulates the decoded pushes in a sumPool buffer: the first
+	// push overwrites it, later pushes add into it, and it goes back to
+	// the pool once the aggregate is encoded — nil before the first push
+	// and after completion.
+	sum *[]float32
+	// n is the element count fixed by the first push. It outlives sum, so
+	// late pushes still meet the size check before the overflow check.
+	n      int
 	pushes int
 	// codec is the wire codec all of this entry's pushes arrived under
 	// (fixed by the first push; mixed-codec pushes to one key are
@@ -196,7 +202,9 @@ type entry struct {
 	// once when aggregation completes (sum is frozen from then on: overflow
 	// pushes are rejected). Every pull response shares this one buffer —
 	// responses only ever read it — so serving W workers costs one
-	// marshal total instead of one per pull.
+	// marshal total instead of one per pull. It is allocated per aggregate,
+	// not pooled: the completed log keeps it by reference for replayed
+	// pulls while earlier responses may still be on the wire.
 	encoded []byte
 	// pullSeen records which logical pulls were already counted as served,
 	// so a retried pull is re-answered without double-counting toward
@@ -299,18 +307,12 @@ func (w batchSubWaiter) fulfill(a agg) {
 // writeAndCount encodes and writes the combined batch response, then
 // counts the served sub-pulls — same post-write rule as singleton pulls.
 func (bp *batchPending) writeAndCount() error {
-	s := bp.sc.s
-	payload, err := encodeBatch(bp.resps)
-	if err != nil {
-		bp.sc.close()
-		return err
-	}
-	if err := bp.sc.write(message{Op: OpBatch, Iter: bp.req.Iter, Seq: bp.req.Seq, Key: bp.req.Key, Payload: payload}); err != nil {
+	if err := bp.sc.writeBatch(bp.req, bp.resps); err != nil {
 		return err
 	}
 	for i, sub := range bp.subs {
 		if sub.Op == OpPull && bp.resps[i].Op == OpPull {
-			s.countPullServed(sub)
+			bp.sc.s.countPullServed(sub)
 		}
 	}
 	return nil
@@ -684,6 +686,20 @@ func (sc *srvConn) write(m message) error {
 	return nil
 }
 
+// writeBatch frames resps into one pooled OpBatch envelope answering req,
+// writes it, and recycles the envelope. A batch that cannot be framed
+// closes the connection: the peer is owed a response it will never get.
+func (sc *srvConn) writeBatch(req message, resps []message) error {
+	env, err := pooledBatch(resps)
+	if err != nil {
+		sc.close()
+		return err
+	}
+	err = sc.write(message{Op: OpBatch, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: *env})
+	payloadPool.put(env)
+	return err
+}
+
 // close tears the connection down exactly once: multiplexer
 // deregistration (while the fd is still valid), connection-table removal,
 // then the socket itself.
@@ -769,6 +785,9 @@ const (
 
 // handleConn reads and serves exactly one request from sc. The read
 // deadline bounds how long a slow peer mid-frame can occupy this worker.
+// The request's pooled payload is released once serving returns — after
+// the push is summed or the batch walked, on every reject and error path
+// alike. A parked continuation keeps only the request's identity fields.
 func (s *Server) handleConn(sc *srvConn) connAction {
 	if d := s.readTimeout; d > 0 {
 		sc.conn.SetReadDeadline(time.Now().Add(d))
@@ -778,6 +797,13 @@ func (s *Server) handleConn(sc *srvConn) connAction {
 		sc.close()
 		return connClosed
 	}
+	act := s.serve(sc, req)
+	req.release()
+	return act
+}
+
+// serve answers one request read off sc.
+func (s *Server) serve(sc *srvConn, req message) connAction {
 	switch req.Op {
 	case OpPush:
 		resp, wake, result := s.processPush(req)
@@ -823,7 +849,9 @@ func (s *Server) handleConn(sc *srvConn) connAction {
 // (including per-sub-push replay deduplication), then exactly one OpBatch
 // response carrying the framed sub-responses is written. Sub-pulls blocked
 // on aggregation park the whole batch as waiter continuations instead of
-// blocking this worker.
+// blocking this worker. Sub-messages are views into the request's pooled
+// payload: their push payloads are summed during the walk, and the parked
+// batch reads only identity fields afterwards.
 func (s *Server) handleBatchConn(sc *srvConn, req message) connAction {
 	subs, err := decodeBatch(req.Payload)
 	if err != nil {
@@ -875,11 +903,6 @@ func (s *Server) handleBatchConn(sc *srvConn, req message) connAction {
 	return connParked
 }
 
-// writeErr answers a request with an OpErr response carrying text.
-func writeErr(w net.Conn, req message, text string) error {
-	return writeMessage(w, message{Op: OpErr, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: []byte(text)})
-}
-
 // rejectMsg builds an OpErr response and counts the rejection.
 func (s *Server) rejectMsg(req message, text string) message {
 	s.inst.rejects.Inc()
@@ -927,13 +950,11 @@ func (s *Server) processPush(req message) (resp message, wake []pullWaiter, resu
 				return s.rejectMsg(req, "empty top-k push"), nil, agg{}
 			}
 		}
-		dp := decPool.Get().(*[]float32)
-		defer decPool.Put(dp)
-		vals, err = c.AppendDecode((*dp)[:0], req.Payload, n)
-		if err != nil {
+		dp := sumPool.get(n)
+		defer sumPool.put(dp)
+		if vals, err = c.AppendDecode((*dp)[:0], req.Payload, n); err != nil {
 			return s.rejectMsg(req, "undecodable push: "+err.Error()), nil, agg{}
 		}
-		*dp = vals[:0]
 	} else if len(req.Payload)%4 != 0 {
 		// The frame itself was well-formed, so the stream stays in sync:
 		// reject the request but keep the connection.
@@ -961,12 +982,12 @@ func (s *Server) processPush(req message) (resp message, wake []pullWaiter, resu
 		sh.entries[k] = e
 		s.inst.entries.Add(1)
 	}
-	if e.sum == nil {
-		e.sum = make([]float32, n)
+	if e.n == 0 {
+		e.n = n
 		e.codec = req.Codec
 		e.topk = topk
 	}
-	if len(e.sum) != n {
+	if e.n != n {
 		sh.mu.Unlock()
 		return s.rejectMsg(req, fmt.Sprintf("push size mismatch for %s", req.Key)), nil, agg{}
 	}
@@ -982,15 +1003,23 @@ func (s *Server) processPush(req message) (resp message, wake []pullWaiter, resu
 		sh.mu.Unlock()
 		return s.rejectMsg(req, fmt.Sprintf("push overflow for %s (all %d workers already pushed)", req.Key, s.workers)), nil, agg{}
 	}
-	if vals != nil {
-		for i := range e.sum {
-			e.sum[i] += vals[i]
+	// The payload's length was checked against n above, so neither the
+	// identity decode nor the decode-add can fail.
+	if e.sum == nil {
+		// The first push overwrites the pooled buffer's stale contents.
+		e.sum = sumPool.get(n)
+		if vals != nil {
+			copy(*e.sum, vals)
+		} else {
+			compress.Identity().AppendDecode((*e.sum)[:0], req.Payload, n) //nolint:errcheck // length checked
+		}
+	} else if vals != nil {
+		sum := *e.sum
+		for i := range sum {
+			sum[i] += vals[i]
 		}
 	} else {
-		for i := range e.sum {
-			bits := binary.BigEndian.Uint32(req.Payload[i*4:])
-			e.sum[i] += math.Float32frombits(bits)
-		}
+		compress.DecodeAddFP32(*e.sum, req.Payload) //nolint:errcheck // length checked
 	}
 	if req.Seq != 0 {
 		sh.recordPush(s, req.Seq)
@@ -1000,30 +1029,26 @@ func (s *Server) processPush(req message) (resp message, wake []pullWaiter, resu
 		wake = e.waiters
 		e.waiters = nil
 		e.encoded = encodeEntry(e)
+		sumPool.put(e.sum)
+		e.sum = nil
 		result = e.agg()
 	}
 	sh.mu.Unlock()
 	return pushAck(req), wake, result
 }
 
-// decPool recycles processPush's codec-decode scratch so codec-bearing
-// pushes stay allocation-free in steady state.
-var decPool = sync.Pool{New: func() any { return new([]float32) }}
+// sumPool recycles aggregation sums and processPush's codec-decode
+// scratch, so steady-state aggregation does not allocate fp32 buffers.
+var sumPool classPool[float32]
 
 // encodeEntry serializes a completed aggregate under the entry's codec.
 func encodeEntry(e *entry) []byte {
-	id := compress.CodecID(e.codec)
-	if id == compress.CodecIdentity {
-		return encode(e.sum)
-	}
-	var c compress.Codec
-	if id == compress.CodecTopK {
+	c, _ := compress.CodecByID(compress.CodecID(e.codec)) // id was validated at push time
+	if c.ID() == compress.CodecTopK {
 		// Re-sparsify to the same per-worker count the pushes carried.
 		c, _ = compress.TopKCodecCount(int(e.topk))
-	} else {
-		c, _ = compress.CodecByID(id) // id was validated at push time
 	}
-	return c.AppendEncode(make([]byte, 0, c.EncodedLen(len(e.sum))), e.sum)
+	return c.AppendEncode(make([]byte, 0, c.EncodedLen(e.n)), *e.sum)
 }
 
 // agg returns the entry's completed aggregate in wire form. Callers hold
@@ -1032,7 +1057,7 @@ func (e *entry) agg() agg {
 	if e.codec == 0 {
 		return agg{payload: e.encoded}
 	}
-	return agg{payload: e.encoded, codec: e.codec, orig: uint32(4 * len(e.sum))}
+	return agg{payload: e.encoded, codec: e.codec, orig: uint32(4 * e.n)}
 }
 
 // resolvePull resolves one pull to exactly one of: a ready payload, an
@@ -1051,10 +1076,7 @@ func (s *Server) resolvePull(req message, mkWaiter func() pullWaiter) (result ag
 	k := entryKey{req.Key, req.Iter}
 	if e, ok := sh.entries[k]; ok {
 		if e.pushes >= s.workers {
-			if e.encoded == nil {
-				e.encoded = encodeEntry(e)
-			}
-			result = e.agg()
+			result = e.agg() // encoded by the completing push
 			sh.mu.Unlock()
 			return result, nil, false
 		}
@@ -1118,44 +1140,45 @@ func (s *Server) serveBlocking(sc *srvConn) {
 		if err != nil {
 			return // EOF, broken peer, or malformed/oversized frame
 		}
-		switch req.Op {
-		case OpPush:
-			resp, wake, result := s.processPush(req)
-			for _, w := range wake {
-				w.fulfill(result)
-			}
-			if sc.write(resp) != nil {
-				return
-			}
-		case OpPull:
-			result, wait, errResp := s.preparePull(req)
-			if errResp != nil {
-				if sc.write(*errResp) != nil {
-					return
-				}
-				continue
-			}
-			if wait != nil {
-				if result = <-wait; result.payload == nil {
-					// Woken by Close: fail the pull instead of hanging.
-					if sc.write(s.rejectMsg(req, errServerClosed)) != nil {
-						return
-					}
-					continue
-				}
-			}
-			if sc.write(pullResp(req, result)) != nil {
-				return
-			}
-			s.countPullServed(req)
-		case OpBatch:
-			if !s.serveBatchBlocking(sc, req) {
-				return
-			}
-		default:
-			sc.write(s.rejectMsg(req, "unknown op")) //nolint:errcheck // dropping anyway
+		ok := s.serveBlockingReq(sc, req)
+		req.release() // same ownership rule as handleConn
+		if !ok {
 			return
 		}
+	}
+}
+
+// serveBlockingReq answers one request on the blocking path and reports
+// whether the connection is still healthy.
+func (s *Server) serveBlockingReq(sc *srvConn, req message) bool {
+	switch req.Op {
+	case OpPush:
+		resp, wake, result := s.processPush(req)
+		for _, w := range wake {
+			w.fulfill(result)
+		}
+		return sc.write(resp) == nil
+	case OpPull:
+		result, wait, errResp := s.preparePull(req)
+		if errResp != nil {
+			return sc.write(*errResp) == nil
+		}
+		if wait != nil {
+			if result = <-wait; result.payload == nil {
+				// Woken by Close: fail the pull instead of hanging.
+				return sc.write(s.rejectMsg(req, errServerClosed)) == nil
+			}
+		}
+		if sc.write(pullResp(req, result)) != nil {
+			return false
+		}
+		s.countPullServed(req)
+		return true
+	case OpBatch:
+		return s.serveBatchBlocking(sc, req)
+	default:
+		sc.write(s.rejectMsg(req, "unknown op")) //nolint:errcheck // dropping anyway
+		return false
 	}
 }
 
@@ -1203,12 +1226,7 @@ func (s *Server) serveBatchBlocking(sc *srvConn, req message) bool {
 			resps[i] = pullResp(subs[i], result)
 		}
 	}
-	payload, err := encodeBatch(resps)
-	if err != nil {
-		sc.close()
-		return false
-	}
-	if sc.write(message{Op: OpBatch, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: payload}) != nil {
+	if sc.writeBatch(req, resps) != nil {
 		return false
 	}
 	// Count served pulls only now that the combined response is on the
@@ -1340,27 +1358,3 @@ func (s *Server) Close() error {
 	s.acceptWG.Wait()
 	return err
 }
-
-// encode serializes a float32 vector big-endian.
-func encode(v []float32) []byte {
-	out := make([]byte, len(v)*4)
-	for i, f := range v {
-		binary.BigEndian.PutUint32(out[i*4:], math.Float32bits(f))
-	}
-	return out
-}
-
-// Decode parses a big-endian float32 vector payload.
-func Decode(payload []byte) ([]float32, error) {
-	if len(payload)%4 != 0 {
-		return nil, errors.New("netps: payload not a float32 vector")
-	}
-	out := make([]float32, len(payload)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[i*4:]))
-	}
-	return out, nil
-}
-
-// Encode serializes a float32 vector for pushing.
-func Encode(v []float32) []byte { return encode(v) }

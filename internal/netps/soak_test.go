@@ -69,7 +69,7 @@ func TestSoak256Clients(t *testing.T) {
 					errs <- fmt.Errorf("client %d push iter %d: %w", id, iter, err)
 					return
 				}
-				vals, err := c.Pull(key, uint32(iter))
+				vals, err := pull(c, key, uint32(iter), 2)
 				if err != nil {
 					errs <- fmt.Errorf("client %d pull iter %d: %w", id, iter, err)
 					return
@@ -103,13 +103,13 @@ func TestSoak256Clients(t *testing.T) {
 	// every entry must have been reclaimed.
 	for i := 0; i < clients; i++ {
 		c := NewClient(addr, WithClientID(uint32(clients+i+1)), WithPullTimeout(5*time.Second))
-		if _, err := c.Pull(fmt.Sprintf("layer-%d", i), 0); err != nil {
+		if _, err := pull(c, fmt.Sprintf("layer-%d", i), 0, 1); err != nil {
 			c.Close()
 			t.Fatalf("drain warmup key %d: %v", i, err)
 		}
 		c.Close()
 	}
-	if n := srv.Outstanding(); n != 0 {
+	if n := drained(srv); n != 0 {
 		t.Errorf("Outstanding = %d after drain, want 0", n)
 	}
 }
@@ -140,7 +140,7 @@ func TestServeBlockingPath(t *testing.T) {
 
 	rt := func(conn net.Conn, m message) message {
 		t.Helper()
-		if err := writeMessage(conn, m); err != nil {
+		if err := writeMessageVec(conn, m); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := readMessage(conn)
@@ -152,7 +152,7 @@ func TestServeBlockingPath(t *testing.T) {
 
 	// Worker A pushes; its pull parks until worker B's push completes the
 	// aggregate — the blocking path holds A's serve goroutine on a channel.
-	if resp := rt(a, message{Op: OpPush, Key: "w", Iter: 1, Seq: 1<<32 | 1, Payload: Encode([]float32{1})}); resp.Op != OpPush {
+	if resp := rt(a, message{Op: OpPush, Key: "w", Iter: 1, Seq: 1<<32 | 1, Payload: encodeF32([]float32{1})}); resp.Op != OpPush {
 		t.Fatalf("push A: %+v", resp)
 	}
 	pulled := make(chan message, 1)
@@ -164,20 +164,20 @@ func TestServeBlockingPath(t *testing.T) {
 		t.Fatalf("pull answered before aggregation completed: %+v", resp)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if resp := rt(b, message{Op: OpPush, Key: "w", Iter: 1, Seq: 2<<32 | 1, Payload: Encode([]float32{4})}); resp.Op != OpPush {
+	if resp := rt(b, message{Op: OpPush, Key: "w", Iter: 1, Seq: 2<<32 | 1, Payload: encodeF32([]float32{4})}); resp.Op != OpPush {
 		t.Fatalf("push B: %+v", resp)
 	}
 	resp := <-pulled
-	if vals, err := Decode(resp.Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
+	if vals, err := decodeF32(resp.Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
 		t.Fatalf("parked pull payload = %v (%v), want [5]", resp.Payload, err)
 	}
 
 	// A batch of push+pull against an aggregate B completes mid-batch.
 	subs := []message{
-		{Op: OpPush, Key: "x", Iter: 1, Seq: 1<<32 | 3, Payload: Encode([]float32{2})},
+		{Op: OpPush, Key: "x", Iter: 1, Seq: 1<<32 | 3, Payload: encodeF32([]float32{2})},
 		{Op: OpPull, Key: "x", Iter: 1, Seq: 1<<32 | 4},
 	}
-	payload, err := encodeBatch(subs)
+	payload, err := appendBatch(nil, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestServeBlockingPath(t *testing.T) {
 	go func() {
 		batched <- rt(a, message{Op: OpBatch, Seq: 1<<32 | 5, Payload: payload})
 	}()
-	if resp := rt(b, message{Op: OpPush, Key: "x", Iter: 1, Seq: 2<<32 | 2, Payload: Encode([]float32{3})}); resp.Op != OpPush {
+	if resp := rt(b, message{Op: OpPush, Key: "x", Iter: 1, Seq: 2<<32 | 2, Payload: encodeF32([]float32{3})}); resp.Op != OpPush {
 		t.Fatalf("push B x: %+v", resp)
 	}
 	env := <-batched
@@ -196,7 +196,7 @@ func TestServeBlockingPath(t *testing.T) {
 	if err != nil || len(resps) != 2 {
 		t.Fatalf("batch decode: %v (%v)", resps, err)
 	}
-	if vals, err := Decode(resps[1].Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
+	if vals, err := decodeF32(resps[1].Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
 		t.Fatalf("batched pull = %v (%v), want [5]", vals, err)
 	}
 
@@ -209,7 +209,7 @@ func TestServeBlockingPath(t *testing.T) {
 	}
 
 	// Unknown op: rejected, then the connection is dropped.
-	if err := writeMessage(a, message{Op: 99, Key: "z", Seq: 1<<32 | 6}); err != nil {
+	if err := writeMessageVec(a, message{Op: 99, Key: "z", Seq: 1<<32 | 6}); err != nil {
 		t.Fatal(err)
 	}
 	if resp, err := readMessage(a); err != nil || resp.Op != OpErr {

@@ -603,12 +603,7 @@ func buildPSTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 				// below blocks until every worker pushed. Hand the
 				// scheduler its credit back first (see liveComm).
 				sent()
-				sum, err := client.Pull(key, iter)
-				if err != nil {
-					return err
-				}
-				copy(out, sum)
-				return nil
+				return client.Pull(key, iter, out)
 			},
 			// The scheduler's flush hook is the Batcher's coalescing
 			// point: one wire frame per releasing pass (§2.2's θ
@@ -685,13 +680,17 @@ func (g *liveGrad) finished(err error) {
 // member gradient slices covered by a fused partition into one contiguous
 // vector, synchronizes it under the fused content-derived key (identical
 // on every worker that bucketed the same members), and scatters the sum
-// back into each member's output buffer.
+// back into each member's output buffer. The gather and sum vectors are
+// pooled: comm returns only after the transport is done with both, and
+// they go back once the scatter has read the sum.
 func fusedComm(comm liveComm) core.FuseStartFn {
 	return func(fd *core.Fused, sub tensor.Sub, doneFn func(error)) {
 		members, offsets := fd.Members(), fd.Offsets()
 		lo, hi := sub.Offset, sub.Offset+sub.Bytes
-		in := make([]float32, sub.Bytes/4)
-		out := make([]float32, sub.Bytes/4)
+		inp, outp := getFused(int(sub.Bytes/4)), getFused(int(sub.Bytes/4))
+		defer fusedPool.Put(inp)
+		defer fusedPool.Put(outp)
+		in, out := *inp, *outp
 		iter := members[0].Meta.(*liveGrad).iter
 		overlap := func(i int) (s, e int64) {
 			s, e = offsets[i], offsets[i]+members[i].Tensor.Bytes
@@ -741,6 +740,22 @@ func fusedComm(comm liveComm) core.FuseStartFn {
 			m.Meta.(*liveGrad).pulled(sub.Count, err)
 		}
 	}
+}
+
+// fusedPool recycles fusedComm's gather and sum vectors. The members
+// tile a fused partition exactly, so the gather overwrites every element
+// of in, and the transport overwrites out before the scatter reads it:
+// stale pooled contents are never sent or scattered.
+var fusedPool = sync.Pool{New: func() any { return new([]float32) }}
+
+// getFused returns a pooled vector of n elements.
+func getFused(n int) *[]float32 {
+	p := fusedPool.Get().(*[]float32)
+	if cap(*p) < n {
+		*p = make([]float32, n)
+	}
+	*p = (*p)[:n]
+	return p
 }
 
 // releaseSink is the Fuser's downstream: a task (plain or fused) enters

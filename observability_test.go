@@ -154,7 +154,7 @@ func TestLiveAndSimTracesShareSchema(t *testing.T) {
 					done(err)
 					return
 				}
-				_, err := client.Pull(key, 1)
+				err := client.Pull(key, 1, make([]float32, sub.Bytes/4))
 				done(err)
 			}()
 		}
